@@ -1,17 +1,16 @@
 //! Performance baseline for the serving substrate: ds-par
-//! sequential-vs-parallel cases plus frozen-vs-mutable inference cases.
+//! sequential-vs-parallel cases, frozen-vs-mutable inference cases, the
+//! HTTP serving case and the ds-obs overhead cases.
 //!
 //! ```text
 //! perf [--smoke] [--threads N[,N...]] [--out results/BENCH_perf.json]
 //! ```
 //!
-//! Runs each workload (conv forward, ensemble prediction, end-to-end
-//! localization, ensemble training, frozen predict, frozen localize,
-//! streaming predict) once per requested worker-team size, asserts the
-//! numeric contracts (bit-identity for parallel paths, 1e-4 probability
-//! tolerance and zero decision flips for frozen paths, bitwise
-//! streaming-vs-batch parity), and writes one sweep entry per
-//! thread count. `--threads` defaults to the ambient `DS_PAR_THREADS`
+//! Runs every case of `ds_bench::gates::GATES` once per requested
+//! worker-team size, asserts the numeric contracts (bit-identity for
+//! parallel paths, 1e-4 probability tolerance and zero decision flips for
+//! frozen paths, bitwise streaming-vs-batch parity), and writes one sweep
+//! entry per thread count. `regress` judges the written report. `--threads` defaults to the ambient `DS_PAR_THREADS`
 //! resolution; `--smoke` shrinks the workloads for CI; `--trace-smoke`
 //! shrinks them much further (numbers are meaningless) so a
 //! `DS_OBS=trace` + `DS_TRACE=path.json` run finishes in seconds while
@@ -87,8 +86,8 @@ fn main() {
             std::process::exit(2);
         }
     }
-    // The SIMD dispatch decision, for the report header and for ci.sh to
-    // grep (the frozen speedup floor is precision- and host-aware).
+    // The SIMD dispatch decision; ci.sh greps it to confirm a
+    // `DS_SIMD=off` twin really dispatched the scalar kernels.
     println!("simd: {}", ds_neural::simd::label());
     let report = {
         let _run = ds_obs::span!("perf");

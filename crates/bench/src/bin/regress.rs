@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Judges a fresh perf report against the committed baseline with the
-//! thresholds in [`ds_bench::regress`], prints the check table, writes
+//! bounds in [`ds_bench::gates::GATES`], prints the check table, writes
 //! the machine-readable verdict JSON, and exits nonzero on regression —
 //! so a plain `set -e` CI stage fails on any degraded case.
 

@@ -17,11 +17,13 @@
 //!   detection gating, kernel sets ([`experiments::ablations`], binary
 //!   `ablations`).
 //!
-//! Criterion microbenchmarks of the substrate and the CamAL pipeline live
-//! in `benches/`.
+//! The `perf` binary measures the serving substrate ([`perf`]), and
+//! `regress` judges its reports against the committed baseline with the
+//! bounds in [`gates::GATES`].
 
 pub mod experiments;
 pub mod faultsmoke;
+pub mod gates;
 pub mod methods;
 pub mod perf;
 pub mod regress;

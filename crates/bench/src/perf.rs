@@ -1,19 +1,21 @@
 //! Performance harness for the serving substrate: sequential-vs-parallel
-//! baselines for ds-par, and frozen-vs-mutable baselines for the BN-folded
-//! inference plan.
+//! baselines for ds-par, frozen-vs-mutable baselines for the BN-folded
+//! inference plan, and the cost of ds-obs instrumentation.
 //!
-//! Each ds-par case runs the same workload twice — once pinned to one
-//! worker (`ds_par::set_threads(Some(1))`) and once on the configured
-//! team. Each frozen case runs the mutable reference path (the trainable
-//! ensemble, at the ambient team size) against the frozen plan
-//! ([`ds_camal::FrozenCamal`] / [`ds_camal::FrozenEnsemble`]). All paths
-//! are timed with interleaved best-of-k sampling after one untimed
-//! warmup iteration per path: iterations alternate so host-load drift
-//! hits both equally, each path is scored by its fastest observed
-//! iteration (external noise only ever adds time, so the minimum is the
-//! estimator closest to intrinsic cost), and every throughput number
-//! counts post-warmup iterations only (the warmup also sizes the frozen
-//! arenas, so the timed region is the steady state).
+//! Every case times a reference path pinned to one worker
+//! (`ds_par::set_threads(Some(1))`) against an optimized path at the
+//! configured team size. Each ds-par case runs the same workload on both
+//! sides. Each frozen case runs the mutable reference path (the trainable
+//! ensemble) against the frozen plan ([`ds_camal::FrozenCamal`] /
+//! [`ds_camal::FrozenEnsemble`]), which is sequential by design, so its
+//! ratio reads the same on one core and on many. All paths are timed
+//! over interleaved rounds after one untimed warmup iteration per path
+//! (the warmup also sizes the frozen arenas, so the timed region is the
+//! steady state). A round times one pass of each path back to back, so
+//! host-load drift hits both equally; the speedup is the median of the
+//! per-round ratios, and each throughput number projects the path's
+//! fastest round (external noise only ever adds time, so the minimum is
+//! the estimator closest to intrinsic cost). See [`sample_paths`].
 //!
 //! Contracts enforced on every run:
 //! - ds-par cases compare outputs **bit for bit** — parallelism never
@@ -27,9 +29,9 @@
 //!   observability is off, and publish `allocs_per_window` either way.
 //!
 //! The `perf` binary renders the suite as a table and persists it to
-//! `results/BENCH_perf.json` — one sweep entry per `--threads` value;
-//! `benches/perf.rs` wraps the same workloads in Criterion for trend
-//! tracking.
+//! `results/BENCH_perf.json` — one sweep entry per `--threads` value.
+//! Every case has one row in [`crate::gates::GATES`], which the `regress`
+//! sentinel judges it by.
 
 use ds_camal::localizer::localize_batch;
 use ds_camal::{Backbone, Camal, CamalConfig, LocalizerConfig, ResNetEnsemble, StreamingCamal};
@@ -45,34 +47,35 @@ use ds_timeseries::{Status, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// One baseline-vs-optimized measurement. For ds-par cases the baseline
-/// (`seq_*`) is the workload pinned to one worker and the optimized
-/// (`par_*`) is the configured team; for `frozen_*` cases the baseline is
-/// the mutable reference path at the ambient team size and the optimized
-/// is the frozen plan (sequential by design — its dispatch-free inner
-/// loop is where the speedup lives).
+/// One baseline-vs-optimized measurement. The baseline (`seq_*`) always
+/// runs pinned to one worker. For ds-par cases the optimized (`par_*`) is
+/// the same workload on the configured team; for frozen cases the
+/// baseline is the mutable reference path and the optimized is the
+/// frozen plan (sequential by design — its dispatch-free inner loop is
+/// where the speedup lives).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfCase {
-    /// Workload name (`conv_forward`, `frozen_conv`, `ensemble_predict`,
-    /// `e2e_localize`, `train_epoch`, `frozen_predict`,
-    /// `quantized_predict`, `frozen_localize`, `backbone_inception`,
-    /// `backbone_transapp`, `streaming_predict`).
+    /// Workload name: one of the [`crate::gates::GATES`] rows.
     pub name: String,
     /// Elements produced per iteration (output samples of the workload).
     pub elements_per_iter: u64,
-    /// Timed iterations per path (warmup excluded).
+    /// Iterations the throughput totals project over. The sampled cases
+    /// time three rounds per iteration; `serve_throughput` runs once.
     pub iters: u64,
-    /// Baseline wall time for all timed iterations, seconds, projected
-    /// from the fastest observed iteration (see the module docs).
+    /// Baseline wall time for `iters` iterations, seconds, projected
+    /// from the fastest observed round (see the module docs).
     pub seq_secs: f64,
-    /// Optimized wall time for all timed iterations, seconds, projected
-    /// from the fastest observed iteration (see the module docs).
+    /// Optimized wall time for `iters` iterations, seconds, projected
+    /// from the fastest observed round (see the module docs).
     pub par_secs: f64,
     /// Baseline throughput over post-warmup iterations, elements/second.
     pub seq_elements_per_sec: f64,
     /// Optimized throughput over post-warmup iterations, elements/second.
     pub par_elements_per_sec: f64,
-    /// `seq_secs / par_secs` — > 1 means the optimized path is faster.
+    /// Baseline time over optimized time, the median of the per-round
+    /// ratios — > 1 means the optimized path is faster. It can differ a
+    /// little from `seq_secs / par_secs`, whose two minima may come from
+    /// different rounds.
     pub speedup: f64,
     /// ds-par cases: whether the two paths produced bit-identical
     /// outputs. Frozen cases: whether every thresholded decision matched
@@ -157,7 +160,8 @@ pub struct PerfScale {
     pub batch: usize,
     /// Samples per window.
     pub window: usize,
-    /// Timed iterations per path.
+    /// Iterations per path: the sampled cases time
+    /// [`ROUNDS_PER_ITER`] rounds per iteration.
     pub iters: usize,
 }
 
@@ -202,88 +206,121 @@ fn seq<R>(f: impl FnOnce() -> R) -> R {
 /// The fastest observed sample. On a shared host every slowdown source
 /// (scheduler preemption, frequency drift, cache pollution from
 /// neighbours) only *adds* time, so the minimum is the estimator closest
-/// to the workload's intrinsic cost — medians still carry whatever noise
-/// hit the middle sample, which made the CI speedup gate flaky.
+/// to the workload's intrinsic cost.
 fn best(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// Time a baseline and an optimized path with interleaved best-of-k
-/// sampling after one untimed warmup pass per path. Returns projected
-/// totals `(best_baseline × iters, best_optimized × iters)` plus the
-/// optimized path's heap-allocation events per window (calling thread,
-/// timed iterations only). `pin_baseline` runs the baseline under
-/// [`seq`]; the optimized path always runs at the ambient team size.
+/// Timed rounds per projected iteration. At five rounds, runs on a
+/// shared 2-vCPU host read the scalar `frozen_predict` ratio anywhere
+/// from 1.06× to 1.64×, whichever estimator, as neighbour load came and
+/// went. At fifteen, nine of ten CI-shaped runs read 1.16–1.23×; one
+/// under sustained neighbour load read 1.08×.
+const ROUNDS_PER_ITER: usize = 3;
+
+/// What [`sample_paths`] measured.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    /// Baseline total: fastest round × `iters`, seconds.
+    seq_secs: f64,
+    /// Optimized total: fastest round × `iters`, seconds.
+    par_secs: f64,
+    /// Median over rounds of `baseline / optimized`, each ratio taken
+    /// from the two passes of one round.
+    speedup: f64,
+    /// Optimized-path heap allocations per window (calling thread).
+    allocs_per_window: f64,
+}
+
+/// Time a baseline and an optimized path over interleaved rounds after
+/// one untimed warmup pass per path. A round times one pass of each path
+/// back to back, alternating which goes first: the second of two
+/// back-to-back passes measurably reads slower on a shared host. The
+/// speedup is the median of the per-round ratios. Both passes of a round
+/// see the same host load, so a burst that slows one round leaves its
+/// ratio alone. The fastest pass of each path, taken separately, can
+/// come from different quiet spells: on the millisecond obs-overhead
+/// passes their ratio read 0.80× to 1.09× across twenty runs where the
+/// paired median read 0.99× to 1.01×. Throughputs project the fastest
+/// round over `iters`. The baseline runs under [`seq`], so its cost does not
+/// depend on the host's core count; the optimized path runs at the
+/// ambient team size.
 fn sample_paths(
     iters: usize,
     windows_per_iter: u64,
-    pin_baseline: bool,
     mut baseline: impl FnMut(),
     mut optimized: impl FnMut(),
-) -> (f64, f64, f64) {
-    if pin_baseline {
-        seq(&mut baseline);
-    } else {
-        baseline();
-    }
+) -> Timing {
+    seq(&mut baseline);
     optimized();
-    let mut base_samples = Vec::with_capacity(iters);
-    let mut opt_samples = Vec::with_capacity(iters);
+    let rounds = iters * ROUNDS_PER_ITER;
+    let mut base_samples = Vec::with_capacity(rounds);
+    let mut opt_samples = Vec::with_capacity(rounds);
     let mut allocs = 0u64;
-    for _ in 0..iters {
-        base_samples.push(if pin_baseline {
-            seq(|| time_once(&mut baseline))
-        } else {
-            time_once(&mut baseline)
-        });
+    let mut time_optimized = || {
         let before = ds_obs::alloc_count();
-        opt_samples.push(time_once(&mut optimized));
+        let secs = time_once(&mut optimized);
         allocs += ds_obs::alloc_count() - before;
+        secs
+    };
+    for i in 0..rounds {
+        let (base, opt) = if i % 2 == 0 {
+            let base = seq(|| time_once(&mut baseline));
+            (base, time_optimized())
+        } else {
+            let opt = time_optimized();
+            (seq(|| time_once(&mut baseline)), opt)
+        };
+        base_samples.push(base.max(f64::MIN_POSITIVE));
+        opt_samples.push(opt.max(f64::MIN_POSITIVE));
     }
-    (
-        (best(&base_samples) * iters as f64).max(f64::MIN_POSITIVE),
-        (best(&opt_samples) * iters as f64).max(f64::MIN_POSITIVE),
-        allocs as f64 / (iters as u64 * windows_per_iter) as f64,
-    )
+    let mut ratios: Vec<f64> = base_samples
+        .iter()
+        .zip(&opt_samples)
+        .map(|(b, o)| b / o)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    Timing {
+        seq_secs: best(&base_samples) * iters as f64,
+        par_secs: best(&opt_samples) * iters as f64,
+        speedup: ratios[rounds / 2],
+        allocs_per_window: allocs as f64 / (rounds as u64 * windows_per_iter) as f64,
+    }
 }
 
 /// [`sample_paths`] for ds-par cases, where baseline and optimized run
 /// the *same* closure (pinned vs ambient team).
-fn sample_same_path(iters: usize, windows_per_iter: u64, work: impl FnMut()) -> (f64, f64, f64) {
+fn sample_same_path(iters: usize, windows_per_iter: u64, work: impl FnMut()) -> Timing {
     let work = std::cell::RefCell::new(work);
     sample_paths(
         iters,
         windows_per_iter,
-        true,
         || work.borrow_mut()(),
         || work.borrow_mut()(),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_case(
     name: &str,
     elements_per_iter: u64,
     iters: usize,
     bit_identical: bool,
     decision_flips: u64,
-    seq_secs: f64,
-    par_secs: f64,
-    allocs_per_window: f64,
+    timing: Timing,
 ) -> PerfCase {
     let total = (elements_per_iter * iters as u64) as f64;
     PerfCase {
         name: name.to_string(),
         elements_per_iter,
         iters: iters as u64,
-        seq_secs,
-        par_secs,
-        seq_elements_per_sec: total / seq_secs,
-        par_elements_per_sec: total / par_secs,
-        speedup: seq_secs / par_secs,
+        seq_secs: timing.seq_secs,
+        par_secs: timing.par_secs,
+        seq_elements_per_sec: total / timing.seq_secs,
+        par_elements_per_sec: total / timing.par_secs,
+        speedup: timing.speedup,
         bit_identical,
         decision_flips,
-        allocs_per_window,
+        allocs_per_window: timing.allocs_per_window,
         serve: None,
     }
 }
@@ -314,19 +351,10 @@ fn conv_forward_case(scale: PerfScale) -> PerfCase {
     // went through the allocating `infer`).
     let mut y = Tensor::zeros(scale.batch, 16, scale.window);
     assert_zero_alloc(|| conv.infer_into(&x, &mut y), "conv forward");
-    let (seq_secs, par_secs, allocs) = sample_same_path(scale.iters, scale.batch as u64, || {
+    let timing = sample_same_path(scale.iters, scale.batch as u64, || {
         conv.infer_into(&x, &mut y);
     });
-    build_case(
-        "conv_forward",
-        elements,
-        scale.iters,
-        identical,
-        0,
-        seq_secs,
-        par_secs,
-        allocs,
-    )
+    build_case("conv_forward", elements, scale.iters, identical, 0, timing)
 }
 
 /// The frozen conv kernel in isolation (same 8→16 / k = 9 layer as
@@ -356,10 +384,9 @@ fn frozen_conv_case(scale: PerfScale) -> PerfCase {
         .all(|(a, b)| (a - b).abs() <= 1e-6 * a.abs().max(1.0));
     assert!(within_tolerance, "frozen conv: SIMD diverged from scalar");
     let elements = n_out as u64;
-    let (seq_secs, par_secs, allocs) = sample_paths(
+    let timing = sample_paths(
         scale.iters,
         scale.batch as u64,
-        false,
         || {
             simd::set_mode(Some(SimdMode::Scalar));
             frozen.infer_into(&x, scale.batch, scale.window, &mut y_scalar, true);
@@ -375,9 +402,7 @@ fn frozen_conv_case(scale: PerfScale) -> PerfCase {
         scale.iters,
         within_tolerance,
         0,
-        seq_secs,
-        par_secs,
-        allocs,
+        timing,
     )
 }
 
@@ -409,7 +434,7 @@ fn ensemble_predict_case(scale: PerfScale) -> PerfCase {
         });
     assert!(identical, "ensemble predict: parallel output diverged");
     let elements = (scale.batch * scale.window * ensemble.len()) as u64;
-    let (seq_secs, par_secs, allocs) = sample_same_path(scale.iters, scale.batch as u64, || {
+    let timing = sample_same_path(scale.iters, scale.batch as u64, || {
         ensemble.predict(&x);
     });
     build_case(
@@ -418,9 +443,7 @@ fn ensemble_predict_case(scale: PerfScale) -> PerfCase {
         scale.iters,
         identical,
         0,
-        seq_secs,
-        par_secs,
-        allocs,
+        timing,
     )
 }
 
@@ -453,19 +476,10 @@ fn e2e_localize_case(scale: PerfScale) -> PerfCase {
         });
     assert!(identical, "e2e localize: parallel output diverged");
     let elements = (scale.batch * scale.window) as u64;
-    let (seq_secs, par_secs, allocs) = sample_same_path(scale.iters, scale.batch as u64, || {
+    let timing = sample_same_path(scale.iters, scale.batch as u64, || {
         localize_batch(&ensemble, &refs, &loc_cfg);
     });
-    build_case(
-        "e2e_localize",
-        elements,
-        scale.iters,
-        identical,
-        0,
-        seq_secs,
-        par_secs,
-        allocs,
-    )
+    build_case("e2e_localize", elements, scale.iters, identical, 0, timing)
 }
 
 /// The synthetic, linearly separable corpus shared by the training case
@@ -560,10 +574,9 @@ fn train_epoch_case(scale: PerfScale) -> PerfCase {
     let parallel = train_new();
     let identical = legacy == sequential && legacy == parallel;
     assert!(identical, "train epoch: training paths diverged");
-    let (seq_secs, par_secs, allocs) = sample_paths(
+    let timing = sample_paths(
         scale.iters,
         scale.batch as u64,
-        true,
         || {
             train_legacy();
         },
@@ -573,25 +586,16 @@ fn train_epoch_case(scale: PerfScale) -> PerfCase {
     );
     // Elements: samples seen per run = windows × epochs × members.
     let elements = (scale.batch * scale.window * cfg.train.epochs * cfg.kernel_sizes.len()) as u64;
-    build_case(
-        "train_epoch",
-        elements,
-        scale.iters,
-        identical,
-        0,
-        seq_secs,
-        par_secs,
-        allocs,
-    )
+    build_case("train_epoch", elements, scale.iters, identical, 0, timing)
 }
 
 /// A briefly trained paper-shape model (4 members, 8→16 channels) for the
-/// frozen serving cases (public: the `loadtest` binary reuses it).
+/// frozen serving cases.
 /// Training moves the BatchNorm running statistics off their
 /// initialization and pushes probabilities away from the 0.5 threshold,
 /// so decision-identity is measured where it is meaningful — an untrained
 /// ensemble sits exactly on the decision boundary.
-pub fn trained_serving_model(scale: PerfScale) -> Camal {
+pub(crate) fn trained_serving_model(scale: PerfScale) -> Camal {
     let mut cfg = CamalConfig {
         channels: vec![8, 16],
         ..CamalConfig::default()
@@ -635,7 +639,7 @@ fn assert_zero_alloc(mut pass: impl FnMut(), what: &str) {
 }
 
 /// Frozen ensemble prediction (probabilities + CAMs) against the mutable
-/// reference path at the ambient team size.
+/// reference path.
 fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
     let ensemble = model.ensemble();
     let windows = serving_windows(scale);
@@ -658,10 +662,9 @@ fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
         "frozen predict: probabilities drifted by {max_abs}"
     );
     assert_zero_alloc(|| frozen.predict_into(&x), "frozen predict");
-    let (seq_secs, par_secs, allocs) = sample_paths(
+    let timing = sample_paths(
         scale.iters,
         scale.batch as u64,
-        false,
         || {
             ensemble.predict(&x);
         },
@@ -676,9 +679,7 @@ fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
         scale.iters,
         flips == 0,
         flips,
-        seq_secs,
-        par_secs,
-        allocs,
+        timing,
     )
 }
 
@@ -725,10 +726,9 @@ fn quantized_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
         "quantized predict: probabilities drifted by {max_abs}"
     );
     assert_zero_alloc(|| quant.predict_into(&x), "quantized predict");
-    let (seq_secs, par_secs, allocs) = sample_paths(
+    let timing = sample_paths(
         scale.iters,
         scale.batch as u64,
-        false,
         || {
             ensemble.predict(&x);
         },
@@ -743,15 +743,13 @@ fn quantized_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
         scale.iters,
         flips == 0,
         flips,
-        seq_secs,
-        par_secs,
-        allocs,
+        timing,
     )
 }
 
 /// Frozen end-to-end localization (steps 1–6 through the reused
 /// [`ds_camal::LocalizationBatch`] slabs) against the mutable batched
-/// reference path at the ambient team size.
+/// reference path.
 fn frozen_localize_case(scale: PerfScale, model: &Camal) -> PerfCase {
     localize_parity_case("frozen_localize", scale, model)
 }
@@ -784,10 +782,9 @@ fn localize_parity_case(name: &str, scale: PerfScale, model: &Camal) -> PerfCase
         },
         name,
     );
-    let (seq_secs, par_secs, allocs) = sample_paths(
+    let timing = sample_paths(
         scale.iters,
         scale.batch as u64,
-        false,
         || {
             model.localize_batch(&refs);
         },
@@ -796,16 +793,7 @@ fn localize_parity_case(name: &str, scale: PerfScale, model: &Camal) -> PerfCase
         },
     );
     let elements = (scale.batch * scale.window) as u64;
-    build_case(
-        name,
-        elements,
-        scale.iters,
-        flips == 0,
-        flips,
-        seq_secs,
-        par_secs,
-        allocs,
-    )
+    build_case(name, elements, scale.iters, flips == 0, flips, timing)
 }
 
 /// A briefly trained single-backbone model for the backbone zoo cases —
@@ -907,13 +895,9 @@ fn streaming_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
         "streaming predict",
     );
 
-    // The baseline replays a quadratic amount of window work, so cap the
-    // timed iterations — best-of-k converges quickly on a loop this long.
-    let iters = scale.iters.min(2);
-    let (seq_secs, par_secs, allocs) = sample_paths(
-        iters,
+    let timing = sample_paths(
+        scale.iters,
         pushes as u64,
-        false,
         || {
             for &(_, hi) in &bounds {
                 let prefix = series.slice(0, hi).expect("prefix in range");
@@ -931,39 +915,46 @@ fn streaming_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
     build_case(
         "streaming_predict",
         len as u64,
-        iters,
+        scale.iters,
         identical,
         flips,
-        seq_secs,
-        par_secs,
-        allocs,
+        timing,
     )
 }
 
-/// HTTP serving throughput: the closed-loop loadtest
+/// HTTP serving throughput: the closed-loop load harness
 /// ([`crate::serveload`]) against the direct-call baseline over the same
 /// request sequence. The "baseline" is sequential in-process
 /// single-window plan calls (what clients would pay with no server), the
 /// "optimized" path is the full micro-batching HTTP server — so the
 /// speedup reads as "what serving costs (HTTP + JSON framing) net of
 /// what cross-request batching recovers", and parity-ish values are the
-/// expected shape. `bit_identical` means the loadtest oracle saw zero
-/// decision flips; `allocs_per_window` is the server's own
-/// steady-allocation counter per request.
+/// expected shape. `bit_identical` means every serving contract held: the
+/// oracle saw zero decision flips, the main phase saw no non-200s, the
+/// streaming push smoke got 200s, and the overload probe both shed load
+/// (503s) and served some (200s), then recovered. `allocs_per_window` is
+/// the server's own steady-allocation counter per request.
 fn serve_throughput_case(scale: PerfScale, model: &Camal) -> PerfCase {
     let config = crate::serveload::LoadConfig::from_scale(scale);
     let report = crate::serveload::run(&config, model);
-    let clean =
-        report.flips == 0 && report.errors == 0 && report.overload_rejected > 0 && report.recovered;
+    let clean = report.flips == 0
+        && report.errors == 0
+        && report.push_oks > 0
+        && report.overload_rejected > 0
+        && report.overload_ok > 0
+        && report.recovered;
     let mut case = build_case(
         "serve_throughput",
         report.requests,
         1,
         clean,
         report.flips,
-        report.direct_secs,
-        report.elapsed_secs,
-        report.steady_allocs as f64 / report.requests.max(1) as f64,
+        Timing {
+            seq_secs: report.direct_secs,
+            par_secs: report.elapsed_secs,
+            speedup: report.direct_secs / report.elapsed_secs,
+            allocs_per_window: report.steady_allocs as f64 / report.requests.max(1) as f64,
+        },
     );
     case.serve = Some(ServeStats {
         req_per_sec: report.req_per_sec,
@@ -973,6 +964,133 @@ fn serve_throughput_case(scale: PerfScale, model: &Camal) -> PerfCase {
         errors: report.errors,
     });
     case
+}
+
+/// Serializes tests that run the obs-overhead cases or assert on
+/// allocation counts: those cases switch the process-wide ds-obs level.
+#[cfg(test)]
+pub(crate) static OBS_LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Run `f` at ds-obs `level`, restoring the level in force before.
+fn at_obs_level<R>(level: ds_obs::Level, f: impl FnOnce() -> R) -> R {
+    let prev = ds_obs::level();
+    ds_obs::set_level(level);
+    let out = f();
+    ds_obs::set_level(prev);
+    out
+}
+
+/// Shape of the obs-overhead cases. The bounds they gate are 2% and 5%,
+/// so they run on one worker (ds-par spawn variance stays out) and take
+/// many short rounds, 210 at full scale: the paired median held within
+/// 1.3% of parity over twenty runs on a shared 2-vCPU host.
+fn obs_shape(scale: PerfScale) -> PerfScale {
+    PerfScale {
+        batch: scale.batch.min(4),
+        window: scale.window.min(256),
+        iters: scale.iters * 14,
+    }
+}
+
+/// The cost of ds-obs call sites with recording off: a conv forward
+/// bare against the same pass wrapped in the span + counter + histogram
+/// calls every instrumented hot path carries, both at `DS_OBS=off`. The
+/// speedup reads `bare / instrumented`.
+fn obs_overhead_off_case(scale: PerfScale) -> PerfCase {
+    let shape = obs_shape(scale);
+    let conv = Conv1d::new(8, 16, 9, 1);
+    let x = Tensor::from_data(
+        shape.batch,
+        8,
+        shape.window,
+        (0..shape.batch * 8 * shape.window)
+            .map(|i| ((i % 97) as f32 - 48.0) * 0.021)
+            .collect(),
+    );
+    let mut y_bare = Tensor::zeros(shape.batch, 16, shape.window);
+    let mut y_inst = Tensor::zeros(shape.batch, 16, shape.window);
+    let instrumented = |y: &mut Tensor| {
+        let _span = ds_obs::span!("bench.conv_pass");
+        ds_obs::counter_add("bench.conv_calls", 1);
+        conv.infer_into(&x, y);
+        ds_obs::observe(
+            "bench.conv_out",
+            y.data[0].clamp(0.0, 1.0) as f64,
+            ds_obs::Buckets::Unit,
+        );
+    };
+    at_obs_level(ds_obs::Level::Off, || {
+        seq(|| {
+            conv.infer_into(&x, &mut y_bare);
+            instrumented(&mut y_inst);
+            let identical = bits(&y_bare.data) == bits(&y_inst.data);
+            assert!(
+                identical,
+                "obs overhead: instrumentation changed the output"
+            );
+            assert_zero_alloc(|| instrumented(&mut y_inst), "obs overhead off");
+            let timing = sample_paths(
+                shape.iters,
+                shape.batch as u64,
+                || {
+                    conv.infer_into(&x, &mut y_bare);
+                },
+                || {
+                    instrumented(&mut y_inst);
+                },
+            );
+            build_case(
+                "obs_overhead_off",
+                (shape.batch * 16 * shape.window) as u64,
+                shape.iters,
+                identical,
+                0,
+                timing,
+            )
+        })
+    })
+}
+
+/// The cost of full event tracing on the latency-budgeted serving loop:
+/// the frozen predict pass at `DS_OBS=off` against the same pass at
+/// `DS_OBS=trace` (span begin/end into the per-thread trace buffers plus
+/// allocation attribution). The speedup reads `off / trace`, and tracing
+/// must not change a single output bit.
+fn obs_overhead_trace_case(scale: PerfScale, model: &Camal) -> PerfCase {
+    let shape = obs_shape(scale);
+    let x = Tensor::from_windows(&serving_windows(shape));
+    let mut frozen = model.ensemble().freeze();
+    let traced = |frozen: &mut ds_camal::FrozenEnsemble| {
+        at_obs_level(ds_obs::Level::Trace, || frozen.predict_into(&x));
+    };
+    at_obs_level(ds_obs::Level::Off, || {
+        seq(|| {
+            frozen.predict_into(&x);
+            let off = bits(frozen.ensemble_probs());
+            traced(&mut frozen);
+            let identical = off == bits(frozen.ensemble_probs());
+            assert!(identical, "obs overhead: tracing changed the output");
+            let frozen = std::cell::RefCell::new(frozen);
+            let timing = sample_paths(
+                shape.iters,
+                shape.batch as u64,
+                || {
+                    frozen.borrow_mut().predict_into(&x);
+                },
+                || {
+                    traced(&mut frozen.borrow_mut());
+                },
+            );
+            build_case(
+                "obs_overhead_trace",
+                (shape.batch * shape.window * model.ensemble().len()) as u64,
+                shape.iters,
+                identical,
+                0,
+                timing,
+            )
+        })
+    })
 }
 
 fn run_cases(scale: PerfScale, model: &Camal, zoo: &[(&str, &Camal)]) -> Vec<PerfCase> {
@@ -996,6 +1114,8 @@ fn run_cases(scale: PerfScale, model: &Camal, zoo: &[(&str, &Camal)]) -> Vec<Per
     }
     cases.push(streaming_predict_case(scale, model));
     cases.push(serve_throughput_case(scale, model));
+    cases.push(obs_overhead_off_case(scale));
+    cases.push(obs_overhead_trace_case(scale, model));
     cases
 }
 
@@ -1106,9 +1226,11 @@ pub fn render(report: &PerfReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::{Allocs, GATES};
 
     #[test]
     fn smoke_suite_runs_and_is_bit_identical() {
+        let _obs = OBS_LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let tiny = PerfScale {
             batch: 4,
             window: 64,
@@ -1119,28 +1241,23 @@ mod tests {
         assert!(report.host_cores >= 1);
         assert!(report.par_threads >= 1);
         let cases = &report.sweeps[0].cases;
-        assert_eq!(cases.len(), 12);
+        let names: Vec<&str> = cases.iter().map(|c| c.name.as_str()).collect();
+        let gated: Vec<&str> = GATES.iter().map(|g| g.case).collect();
+        assert_eq!(names, gated, "the suite runs exactly the gated cases");
         for c in cases {
             assert!(c.bit_identical, "{} diverged", c.name);
             assert_eq!(c.decision_flips, 0, "{} flipped decisions", c.name);
             assert!(c.seq_secs > 0.0 && c.par_secs > 0.0);
             assert!(c.seq_elements_per_sec.is_finite());
         }
-        // The frozen serving paths are allocation-free in steady state
-        // (tests run with observability off).
-        for name in [
-            "conv_forward",
-            "frozen_conv",
-            "frozen_predict",
-            "quantized_predict",
-            "frozen_localize",
-            "backbone_inception",
-            "backbone_transapp",
-            "streaming_predict",
-            "serve_throughput",
-        ] {
-            let c = cases.iter().find(|c| c.name == name).unwrap();
-            assert_eq!(c.allocs_per_window, 0.0, "{name} allocated");
+        // Every case gated on an absolute allocation ceiling is
+        // allocation-free in steady state (tests run with observability
+        // off).
+        for gate in GATES {
+            if let Allocs::Ceiling(_) = gate.allocs {
+                let c = cases.iter().find(|c| c.name == gate.case).unwrap();
+                assert_eq!(c.allocs_per_window, 0.0, "{} allocated", gate.case);
+            }
         }
         let serve = cases
             .iter()
@@ -1151,21 +1268,15 @@ mod tests {
         assert_eq!(serve.errors, 0);
         let table = render(&report);
         assert!(table.contains("host:"));
-        assert!(table.contains("conv_forward"));
-        assert!(table.contains("e2e_localize"));
-        assert!(table.contains("train_epoch"));
-        assert!(table.contains("frozen_predict"));
-        assert!(table.contains("quantized_predict"));
-        assert!(table.contains("frozen_localize"));
-        assert!(table.contains("backbone_inception"));
-        assert!(table.contains("backbone_transapp"));
-        assert!(table.contains("streaming_predict"));
-        assert!(table.contains("serve_throughput"));
+        for gate in GATES {
+            assert!(table.contains(gate.case), "{} missing", gate.case);
+        }
         assert!(table.contains("req/s"));
     }
 
     #[test]
     fn sweep_produces_one_entry_per_thread_count() {
+        let _obs = OBS_LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let tiny = PerfScale {
             batch: 4,
             window: 48,
@@ -1176,7 +1287,7 @@ mod tests {
         assert_eq!(report.sweeps[0].threads, 1);
         assert_eq!(report.sweeps[1].threads, 2);
         for sweep in &report.sweeps {
-            assert_eq!(sweep.cases.len(), 12);
+            assert_eq!(sweep.cases.len(), GATES.len());
         }
     }
 }

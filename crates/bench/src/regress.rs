@@ -1,235 +1,31 @@
-//! Perf-regression sentinel: diffs a fresh perf run against the
-//! committed `results/BENCH_perf.json` baseline and renders a
-//! machine-readable verdict.
+//! Perf-regression sentinel: judges a fresh perf run against the
+//! committed `results/BENCH_perf.json` baseline with the bounds in
+//! [`crate::gates::GATES`] and renders a machine-readable verdict.
 //!
-//! The perf suite's numbers gate real guarantees — the frozen plan's
-//! speedup over the mutable path, its zero-alloc steady state, and
-//! decision identity — but a one-shot CI grep only catches the cases it
-//! names. The sentinel instead walks every `(thread count, case)` pair
-//! present in **both** reports and applies per-case thresholds:
+//! Sweeps pair by thread count. Within a paired sweep every gate row is
+//! one case, and it is held to:
 //!
-//! - **Correctness is absolute**: `bit_identical` must hold and
-//!   `decision_flips` must be zero in the fresh run, full stop.
-//! - **Frozen cases** (`frozen_conv`, `frozen_predict`,
-//!   `frozen_localize`) carry an *absolute* speedup floor — the frozen
-//!   plan being meaningfully faster than the mutable path is a published
-//!   claim, not a relative trend — plus a relative floor against the
-//!   baseline, and an absolute allocs-per-window ceiling
-//!   ([`FROZEN_ALLOCS_CEILING`]) backing the zero-alloc contract. The
-//!   absolute floor is **host-aware**: [`FROZEN_SPEEDUP_FLOOR_SIMD`] on
-//!   hosts whose fresh run dispatched the AVX2 kernels, the pre-SIMD
-//!   [`FROZEN_SPEEDUP_FLOOR_SCALAR`] otherwise (scalar hosts and
-//!   `DS_SIMD=off` twin runs), keyed on the report's `simd` label.
-//! - **Quantized cases** (`quantized_predict`) are judged separately
-//!   from the f32 frozen cases: int8 trades raw speed for footprint and
-//!   integer determinism, so its floors ([`QUANT_SPEEDUP_FLOOR_SIMD`] /
-//!   [`QUANT_SPEEDUP_FLOOR_SCALAR`]) sit below the f32 ones while its
-//!   zero-alloc and zero-flip contracts stay just as absolute.
-//! - **Streaming cases** (`streaming_predict`) gate the incremental
-//!   inference contract: the ring-buffer engine's amortized cost per
-//!   push must sit well below a full prefix recompute, so they carry
-//!   their own absolute floors ([`STREAMING_SPEEDUP_FLOOR_SIMD`] /
-//!   [`STREAMING_SPEEDUP_FLOOR_SCALAR`] — the speedup is mostly
-//!   work-proportional, so the scalar floor stays high) plus the frozen
-//!   relative floor and the frozen allocation ceiling. A fresh report
-//!   with **no** `streaming_predict` case at all fails outright, even
-//!   against a pre-streaming baseline — the streaming path losing its
-//!   perf coverage must never read as a pass.
-//! - **Serving cases** (`serve_throughput`) compare the micro-batching
-//!   HTTP server against direct in-process calls over the same request
-//!   sequence, so parity-ish speedups are the expected shape: the
-//!   absolute floor ([`SERVE_SPEEDUP_FLOOR`]) only rejects a collapse,
-//!   the zero-alloc ceiling applies to the server's in-kernel
-//!   allocation counter, and a fifth check holds the recorded p99
-//!   against the published 50 ms SLO ([`SERVE_P99_SLO_MS`]). Like the
-//!   streaming case, a fresh run missing `serve_throughput` fails
-//!   outright.
-//! - **Backbone-zoo cases** (`backbone_inception`, `backbone_transapp`)
-//!   run the frozen-vs-mutable localization contract on the non-ResNet
-//!   architectures. Their absolute floor ([`BACKBONE_SPEEDUP_FLOOR`]) is
-//!   dispatch-independent — the frozen win they gate is folding and
-//!   arena reuse, not the ResNet conv stack's SIMD margin — and, like
-//!   the streaming and serving cases, a fresh run missing either zoo
-//!   case fails outright.
-//! - Relative floors only apply when the fresh run and the baseline were
-//!   measured under the same SIMD dispatch — comparing a scalar twin run
-//!   against a vectorized baseline ratio would fail every case for the
-//!   wrong reason.
-//! - **Flat cases** (conv/ensemble/e2e/train, whose parallel speedups
-//!   hover near 1.0×) get a relative floor only
-//!   ([`RELATIVE_SPEEDUP_FLOOR`] × baseline): they may drift with the
-//!   host, but a collapse against the committed numbers is a regression.
-//!   Their allocation ceiling is relative with an absolute grace
-//!   ([`ALLOCS_RELATIVE_CEILING`], [`ALLOCS_ABSOLUTE_GRACE`]) since
-//!   small counts are noisy.
+//! - **correctness**, absolute: `bit_identical` holds and
+//!   `decision_flips` is zero in the fresh run;
+//! - **the speedup floor**: the row's absolute floor for the fresh run's
+//!   SIMD label, raised to its relative fraction of the baseline speedup
+//!   when both reports ran under the same label;
+//! - **the allocation ceiling** of the row;
+//! - **the serving SLOs** (`req/s` floor, p99 ceiling) where the row has
+//!   them; a fresh case missing its serving stats fails them.
 //!
-//! A case present in the baseline but missing from the fresh run fails
-//! (silent coverage loss reads as a pass otherwise); thread counts only
-//! in one report are skipped with a note (the CI smoke runs one sweep
-//! against a two-sweep baseline by design). The thresholds are loose
-//! enough that re-judging the committed baseline against itself passes —
-//! that self-check is a unit test below.
+//! A row missing from the fresh sweep fails (silent coverage loss must
+//! not read as a pass), and so does a fresh case with no row (an ungated
+//! case is one nobody decided how to judge). Thread counts in only one
+//! report are skipped with a note: CI's smoke sweeps one team size
+//! against a two-sweep baseline by design. Re-judging the committed
+//! baseline against itself must pass; that self-check is a unit test
+//! below.
 
 use serde::Serialize;
 
-use crate::perf::{PerfCase, PerfReport};
-
-/// Absolute f32 frozen speedup floor on hosts where the fresh run
-/// dispatched the AVX2 kernels. The committed vectorized baseline
-/// measures 5.3–6.4× across the frozen cases; 3.0× is the published
-/// serving-path claim with room for slower AVX2 hosts.
-pub const FROZEN_SPEEDUP_FLOOR_SIMD: f64 = 3.0;
-
-/// Absolute f32 frozen speedup floor on scalar dispatch (no AVX2, or a
-/// `DS_SIMD=off` determinism-twin run): the pre-SIMD contract — the
-/// frozen plan's fold/fuse/arena advantage alone must not collapse
-/// toward parity.
-pub const FROZEN_SPEEDUP_FLOOR_SCALAR: f64 = 1.10;
-
-/// Absolute int8 quantized speedup floor under AVX2 dispatch. The int8
-/// path re-quantizes activations per conv and AVX2 lacks VNNI-class
-/// integer-dot throughput, so it trails the f32 SIMD kernels (baseline
-/// ~2.5×); its value is footprint and integer determinism, and the
-/// floor only demands it stays clearly ahead of the mutable path.
-pub const QUANT_SPEEDUP_FLOOR_SIMD: f64 = 1.5;
-
-/// Absolute int8 quantized floor on scalar dispatch: scalar i32
-/// multiply-accumulate has no hardware advantage over scalar f32 FMA
-/// and still pays per-conv activation re-quantization (measured ~0.32×
-/// on the reference container), so only a collapse well below that
-/// fails.
-pub const QUANT_SPEEDUP_FLOOR_SCALAR: f64 = 0.2;
-
-/// Frozen cases must also hold this fraction of their baseline speedup
-/// (only when baseline and fresh ran under the same SIMD dispatch).
-/// Looser than the pre-SIMD 0.85: at 5–6× the absolute floor carries
-/// the contract and run-to-run variance is proportionally larger.
-pub const FROZEN_RELATIVE_FLOOR: f64 = 0.70;
-
-/// Quantized analogue of [`FROZEN_RELATIVE_FLOOR`].
-pub const QUANT_RELATIVE_FLOOR: f64 = 0.70;
-
-/// Absolute allocs-per-window ceiling for frozen and quantized cases
-/// (baseline is 0.0; the margin absorbs one-off warmup traffic landing
-/// inside a short timed region).
-pub const FROZEN_ALLOCS_CEILING: f64 = 0.5;
-
-/// Flat cases must hold this fraction of their baseline speedup.
-pub const RELATIVE_SPEEDUP_FLOOR: f64 = 0.70;
-
-/// Flat-case allocation ceiling: `baseline × this`, …
-pub const ALLOCS_RELATIVE_CEILING: f64 = 1.5;
-
-/// … but never tighter than `baseline + this` (small counts are noisy).
-pub const ALLOCS_ABSOLUTE_GRACE: f64 = 4.0;
-
-fn is_frozen_case(name: &str) -> bool {
-    name.starts_with("frozen_")
-}
-
-/// `frozen_conv` compares the scalar twin against the *dispatched*
-/// kernel on the same folded conv — under scalar dispatch both sides
-/// run identical code, so its speedup is parity by construction and the
-/// plan-vs-mutable frozen floors don't apply.
-fn is_kernel_dispatch_case(name: &str) -> bool {
-    name == "frozen_conv"
-}
-
-/// Scalar floor for [`is_kernel_dispatch_case`] cases: twin-vs-twin must
-/// sit at parity; anything far below means the dispatch override leaked.
-pub const KERNEL_DISPATCH_FLOOR_SCALAR: f64 = 0.8;
-
-fn is_quant_case(name: &str) -> bool {
-    name.starts_with("quantized_")
-}
-
-fn is_streaming_case(name: &str) -> bool {
-    name.starts_with("streaming_")
-}
-
-/// Backbone-zoo cases (`backbone_inception`, `backbone_transapp`):
-/// frozen-vs-mutable localization like `frozen_localize`, but on
-/// non-ResNet architectures. They deliberately do NOT ride the
-/// `frozen_*` floors: [`FROZEN_SPEEDUP_FLOOR_SIMD`] calibrates to the
-/// ResNet conv stack, and an attention-heavy backbone's frozen win is
-/// dominated by fold/arena savings, not vectorized convs.
-fn is_backbone_case(name: &str) -> bool {
-    name.starts_with("backbone_")
-}
-
-/// Absolute speedup floor for backbone-zoo cases under either dispatch:
-/// the frozen plan must not fall materially behind the mutable path.
-/// No conv-specific SIMD margin is assumed, and the floor sits below
-/// parity because the TransApp frozen win is thin (attention dominates
-/// and is not conv-folded; measured ~1.07x) — the gate exists to catch a
-/// frozen path that regresses to *slower* than mutable, with the
-/// relative-to-baseline floor tightening it when history is better.
-pub const BACKBONE_SPEEDUP_FLOOR: f64 = 0.90;
-
-fn is_serve_case(name: &str) -> bool {
-    name.starts_with("serve_")
-}
-
-/// Absolute floor for the `serve_throughput` speedup (direct sequential
-/// in-process calls vs the full micro-batching HTTP server over the same
-/// request sequence). Parity-ish values are the expected shape — the
-/// served path pays HTTP framing and JSON on every request and wins some
-/// back through cross-request batching — so the floor only rejects a
-/// collapse where serving costs several times the bare compute. Both
-/// sides run the same kernels, so no SIMD split.
-pub const SERVE_SPEEDUP_FLOOR: f64 = 0.4;
-
-/// Published serving latency SLO: p99 at or under 50 ms on the smoke
-/// shape. Enforced whenever the fresh run recorded serving stats.
-pub const SERVE_P99_SLO_MS: f64 = 50.0;
-
-/// Absolute streaming speedup floor under AVX2 dispatch: the published
-/// claim is ≥ 5× amortized vs per-push full recompute at ≥ 75 % overlap
-/// (the committed baseline measures well above this — the advantage is
-/// work-proportional, roughly the ratio of recomputed to reused window
-/// evaluations).
-pub const STREAMING_SPEEDUP_FLOOR_SIMD: f64 = 5.0;
-
-/// Scalar-dispatch streaming floor. Unlike the frozen plan's SIMD
-/// margin, the streaming advantage is *work avoided*, not instructions
-/// vectorized, so it survives `DS_SIMD=off` nearly intact.
-pub const STREAMING_SPEEDUP_FLOOR_SCALAR: f64 = 3.0;
-
-/// Threshold policy resolved once per `judge` call from the two reports'
-/// SIMD labels.
-struct FloorPolicy {
-    /// Fresh run dispatched the vectorized kernels.
-    fresh_simd: bool,
-    /// Baseline and fresh ran under the same dispatch, so baseline
-    /// ratios are comparable and relative floors apply.
-    relative_comparable: bool,
-}
-
-impl FloorPolicy {
-    fn frozen_floor(&self) -> f64 {
-        if self.fresh_simd {
-            FROZEN_SPEEDUP_FLOOR_SIMD
-        } else {
-            FROZEN_SPEEDUP_FLOOR_SCALAR
-        }
-    }
-
-    fn quant_floor(&self) -> f64 {
-        if self.fresh_simd {
-            QUANT_SPEEDUP_FLOOR_SIMD
-        } else {
-            QUANT_SPEEDUP_FLOOR_SCALAR
-        }
-    }
-
-    fn streaming_floor(&self) -> f64 {
-        if self.fresh_simd {
-            STREAMING_SPEEDUP_FLOOR_SIMD
-        } else {
-            STREAMING_SPEEDUP_FLOOR_SCALAR
-        }
-    }
-}
+use crate::gates::{Allocs, Gate, GATES};
+use crate::perf::{PerfCase, PerfReport, PerfSweep};
 
 /// One threshold evaluation on one `(threads, case)` pair.
 #[derive(Debug, Clone, Serialize)]
@@ -283,21 +79,18 @@ impl CaseChecks<'_> {
     }
 }
 
+/// Judge one gate row: `fresh` is the fresh run's case, `base` the
+/// baseline's. When the baseline predates the case, the relative speedup
+/// floor is skipped and a relative allocation ceiling counts from zero.
 fn judge_case(
-    threads: usize,
-    base: &PerfCase,
+    gate: &Gate,
+    base: Option<&PerfCase>,
     fresh: &PerfCase,
-    policy: &FloorPolicy,
-    checks: &mut Vec<RegressCheck>,
+    fresh_simd: &str,
+    comparable: bool,
+    out: &mut CaseChecks,
 ) {
-    let name = &base.name;
-    let mut out = CaseChecks {
-        checks,
-        threads,
-        case: name,
-    };
-
-    // Correctness: absolute, regardless of baseline.
+    let base_or = |f: fn(&PerfCase) -> f64| base.map_or(0.0, f);
     out.push(
         "bit_identical",
         1.0,
@@ -307,102 +100,73 @@ fn judge_case(
     );
     out.push(
         "decision_flips == 0",
-        base.decision_flips as f64,
+        base_or(|c| c.decision_flips as f64),
         fresh.decision_flips as f64,
         0.0,
         fresh.decision_flips == 0,
     );
 
-    // Speedup floor: absolute component keyed on the fresh run's SIMD
-    // dispatch, relative component only when the baseline ratio is
-    // comparable (same dispatch on both sides).
-    let relative = |fraction: f64| {
-        if policy.relative_comparable {
-            base.speedup * fraction
-        } else {
-            0.0
-        }
+    let relative = match base {
+        Some(b) if comparable => b.speedup * gate.relative,
+        _ => 0.0,
     };
-    let floor = if is_quant_case(name) {
-        policy.quant_floor().max(relative(QUANT_RELATIVE_FLOOR))
-    } else if is_kernel_dispatch_case(name) {
-        if policy.fresh_simd {
-            FROZEN_SPEEDUP_FLOOR_SIMD.max(relative(FROZEN_RELATIVE_FLOOR))
-        } else {
-            KERNEL_DISPATCH_FLOOR_SCALAR
-        }
-    } else if is_streaming_case(name) {
-        policy
-            .streaming_floor()
-            .max(relative(FROZEN_RELATIVE_FLOOR))
-    } else if is_serve_case(name) {
-        SERVE_SPEEDUP_FLOOR.max(relative(RELATIVE_SPEEDUP_FLOOR))
-    } else if is_backbone_case(name) {
-        BACKBONE_SPEEDUP_FLOOR.max(relative(FROZEN_RELATIVE_FLOOR))
-    } else if is_frozen_case(name) {
-        policy.frozen_floor().max(relative(FROZEN_RELATIVE_FLOOR))
-    } else {
-        relative(RELATIVE_SPEEDUP_FLOOR)
-    };
+    let floor = gate.floor(fresh_simd).max(relative);
     out.push(
         "speedup floor",
-        base.speedup,
+        base_or(|c| c.speedup),
         fresh.speedup,
         floor,
         fresh.speedup >= floor,
     );
 
-    // Allocation ceiling. Quantized serving shares the frozen plan's
-    // zero-alloc contract: the arena (qbuf included) is preallocated.
-    // The HTTP serving case reports allocations *inside batched kernel
-    // calls* per request, so it inherits the same contract.
-    let ceiling = if is_frozen_case(name)
-        || is_quant_case(name)
-        || is_streaming_case(name)
-        || is_serve_case(name)
-        || is_backbone_case(name)
-    {
-        FROZEN_ALLOCS_CEILING
-    } else {
-        (base.allocs_per_window * ALLOCS_RELATIVE_CEILING)
-            .max(base.allocs_per_window + ALLOCS_ABSOLUTE_GRACE)
+    let base_allocs = base_or(|c| c.allocs_per_window);
+    let ceiling = match gate.allocs {
+        Allocs::Ceiling(c) => c,
+        Allocs::Relative => (base_allocs * 1.5).max(base_allocs + 4.0),
     };
     out.push(
         "allocs ceiling",
-        base.allocs_per_window,
+        base_allocs,
         fresh.allocs_per_window,
         ceiling,
         fresh.allocs_per_window <= ceiling,
     );
 
-    // Serving cases additionally carry the latency SLO whenever the
-    // fresh run recorded serving stats (older reports have none).
-    if is_serve_case(name) {
-        if let Some(serve) = &fresh.serve {
-            out.push(
-                "p99 within SLO",
-                base.serve.as_ref().map_or(0.0, |s| s.p99_ms),
-                serve.p99_ms,
-                SERVE_P99_SLO_MS,
-                serve.p99_ms <= SERVE_P99_SLO_MS,
-            );
-        }
+    let base_serve = base.and_then(|c| c.serve.as_ref());
+    if let Some(min) = gate.min_req_per_sec {
+        let fresh_rps = fresh.serve.as_ref().map_or(0.0, |s| s.req_per_sec);
+        out.push(
+            "req/s floor",
+            base_serve.map_or(0.0, |s| s.req_per_sec),
+            fresh_rps,
+            min,
+            fresh_rps >= min,
+        );
+    }
+    if let Some(max) = gate.max_p99_ms {
+        let fresh_p99 = fresh.serve.as_ref().map_or(f64::INFINITY, |s| s.p99_ms);
+        out.push(
+            "p99 within SLO",
+            base_serve.map_or(0.0, |s| s.p99_ms),
+            fresh_p99,
+            max,
+            fresh_p99 <= max,
+        );
     }
 }
 
-/// Judge `fresh` against `baseline`. Sweeps pair by thread count; cases
-/// pair by name within a paired sweep. See the module docs for the
-/// threshold policy.
+fn find<'a>(sweep: &'a PerfSweep, name: &str) -> Option<&'a PerfCase> {
+    sweep.cases.iter().find(|c| c.name == name)
+}
+
+/// Judge `fresh` against `baseline`. See the module docs for the policy.
 pub fn judge(baseline: &PerfReport, fresh: &PerfReport) -> RegressVerdict {
     let mut checks = Vec::new();
     let mut notes = Vec::new();
     let mut compared = 0usize;
 
-    let policy = FloorPolicy {
-        fresh_simd: fresh.simd == "avx2",
-        relative_comparable: fresh.simd == baseline.simd,
-    };
-    if !policy.relative_comparable {
+    let comparable = fresh.simd == baseline.simd;
+    if !comparable {
         notes.push(format!(
             "simd dispatch differs (baseline {:?}, fresh {:?}); absolute floors only",
             baseline.simd, fresh.simd
@@ -414,104 +178,63 @@ pub fn judge(baseline: &PerfReport, fresh: &PerfReport) -> RegressVerdict {
             fresh.host_cores, fresh.par_threads, fresh.simd
         ));
     }
-
     for base_sweep in &baseline.sweeps {
-        let Some(fresh_sweep) = fresh
-            .sweeps
-            .iter()
-            .find(|s| s.threads == base_sweep.threads)
-        else {
+        if !fresh.sweeps.iter().any(|s| s.threads == base_sweep.threads) {
             notes.push(format!(
                 "baseline sweep at {} thread(s) not present in fresh run; skipped",
                 base_sweep.threads
             ));
-            continue;
-        };
-        for base_case in &base_sweep.cases {
-            match fresh_sweep.cases.iter().find(|c| c.name == base_case.name) {
-                Some(fresh_case) => {
-                    compared += 1;
-                    judge_case(
-                        base_sweep.threads,
-                        base_case,
-                        fresh_case,
-                        &policy,
-                        &mut checks,
-                    );
-                }
-                None => {
-                    // Coverage loss is a failure, not a note: a vanished
-                    // case must not read as "no regression".
-                    CaseChecks {
-                        checks: &mut checks,
-                        threads: base_sweep.threads,
-                        case: &base_case.name,
-                    }
-                    .push("case present in fresh run", 1.0, 0.0, 1.0, false);
-                }
-            }
         }
     }
+
     for fresh_sweep in &fresh.sweeps {
-        if !baseline
-            .sweeps
-            .iter()
-            .any(|s| s.threads == fresh_sweep.threads)
-        {
+        let threads = fresh_sweep.threads;
+        let Some(base_sweep) = baseline.sweeps.iter().find(|s| s.threads == threads) else {
             notes.push(format!(
-                "fresh sweep at {} thread(s) has no baseline; skipped",
-                fresh_sweep.threads
+                "fresh sweep at {threads} thread(s) has no baseline; skipped"
             ));
+            continue;
+        };
+        for gate in GATES {
+            let mut out = CaseChecks {
+                checks: &mut checks,
+                threads,
+                case: gate.case,
+            };
+            let Some(fresh_case) = find(fresh_sweep, gate.case) else {
+                out.push("case present in fresh run", 1.0, 0.0, 1.0, false);
+                continue;
+            };
+            compared += 1;
+            let base_case = find(base_sweep, gate.case);
+            if base_case.is_none() {
+                notes.push(format!(
+                    "{} has no baseline at {threads} thread(s); absolute bounds only",
+                    gate.case
+                ));
+            }
+            judge_case(
+                gate,
+                base_case,
+                fresh_case,
+                &fresh.simd,
+                comparable,
+                &mut out,
+            );
+        }
+        for case in &fresh_sweep.cases {
+            if !GATES.iter().any(|g| g.case == case.name) {
+                CaseChecks {
+                    checks: &mut checks,
+                    threads,
+                    case: &case.name,
+                }
+                .push("case has a gate row", 0.0, 1.0, 0.0, false);
+            }
         }
     }
     if compared == 0 {
         notes.push("no (threads, case) pair present in both reports".to_string());
-    }
-    // The streaming perf case is load-bearing coverage: its absence from
-    // the fresh run fails even when the baseline predates it (the
-    // missing-case rule above only catches cases the baseline names).
-    if !fresh
-        .sweeps
-        .iter()
-        .any(|s| s.cases.iter().any(|c| c.name == "streaming_predict"))
-    {
-        CaseChecks {
-            checks: &mut checks,
-            threads: fresh.sweeps.first().map_or(0, |s| s.threads),
-            case: "streaming_predict",
-        }
-        .push("streaming case present in fresh run", 1.0, 0.0, 1.0, false);
-    }
-    // Same for the HTTP serving case: losing the serve_throughput
-    // measurement (and with it the flip-oracle and SLO gates) must never
-    // read as a pass.
-    if !fresh
-        .sweeps
-        .iter()
-        .any(|s| s.cases.iter().any(|c| c.name == "serve_throughput"))
-    {
-        CaseChecks {
-            checks: &mut checks,
-            threads: fresh.sweeps.first().map_or(0, |s| s.threads),
-            case: "serve_throughput",
-        }
-        .push("serve case present in fresh run", 1.0, 0.0, 1.0, false);
-    }
-    // And the backbone zoo: every non-ResNet backbone keeps its
-    // frozen-parity perf coverage even against a pre-zoo baseline.
-    for required in ["backbone_inception", "backbone_transapp"] {
-        if !fresh
-            .sweeps
-            .iter()
-            .any(|s| s.cases.iter().any(|c| c.name == required))
-        {
-            CaseChecks {
-                checks: &mut checks,
-                threads: fresh.sweeps.first().map_or(0, |s| s.threads),
-                case: required,
-            }
-            .push("backbone case present in fresh run", 1.0, 0.0, 1.0, false);
-        }
     }
 
     RegressVerdict {
@@ -582,18 +305,23 @@ mod tests {
             "baseline must pass against itself:\n{}",
             render(&verdict)
         );
-        // Every sweep × case compared, 4 checks each, plus the p99 SLO
-        // check on every serve case that recorded stats.
+        // Every sweep × gate row compared, 4 checks each, plus one per
+        // serving SLO the row carries.
         let cases: usize = report.sweeps.iter().map(|s| s.cases.len()).sum();
-        let serve_stats: usize = report
-            .sweeps
+        let per_sweep: usize = GATES
             .iter()
-            .flat_map(|s| &s.cases)
-            .filter(|c| c.serve.is_some())
-            .count();
-        assert!(serve_stats > 0, "committed baseline must carry serve stats");
+            .map(|g| 4 + g.min_req_per_sec.iter().count() + g.max_p99_ms.iter().count())
+            .sum();
+        assert!(
+            report
+                .sweeps
+                .iter()
+                .flat_map(|s| &s.cases)
+                .any(|c| c.serve.is_some()),
+            "committed baseline must carry serve stats"
+        );
         assert_eq!(verdict.compared, cases);
-        assert_eq!(verdict.checks.len(), cases * 4 + serve_stats);
+        assert_eq!(verdict.checks.len(), report.sweeps.len() * per_sweep);
     }
 
     #[test]
@@ -681,12 +409,16 @@ mod tests {
     }
 
     fn synthetic_report(simd: &str, mut cases: Vec<PerfCase>) -> PerfReport {
-        // Every synthetic report carries healthy backbone-zoo cases unless
-        // the test supplies (or strips) its own — the presence gate has a
-        // dedicated test below.
-        for name in ["backbone_inception", "backbone_transapp"] {
-            if !cases.iter().any(|c| c.name == name) {
-                cases.push(synthetic_case(name, 2.0));
+        // Every synthetic report carries a healthy case for each gate row
+        // the test does not supply itself; presence tests strip theirs
+        // with [`without`].
+        for gate in GATES {
+            if !cases.iter().any(|c| c.name == gate.case) {
+                cases.push(if gate.min_req_per_sec.is_some() {
+                    synthetic_serve_case(0.9, 6.0)
+                } else {
+                    synthetic_case(gate.case, 2.0 * gate.floor_avx2.max(1.0))
+                });
             }
         }
         PerfReport {
@@ -696,6 +428,11 @@ mod tests {
             par_threads: 1,
             sweeps: vec![crate::perf::PerfSweep { threads: 1, cases }],
         }
+    }
+
+    fn without(mut report: PerfReport, name: &str) -> PerfReport {
+        report.sweeps[0].cases.retain(|c| c.name != name);
+        report
     }
 
     #[test]
@@ -759,7 +496,7 @@ mod tests {
             ],
         );
         // frozen_conv at 1.0×: twin-vs-twin is parity by construction
-        // under scalar dispatch, so the 1.10× frozen floor must not
+        // under scalar dispatch, so the 1.15× frozen floor must not
         // apply to it; quantized at 0.32× matches the measured scalar
         // int8 cost and must clear its own floor.
         let twin = synthetic_report(
@@ -843,14 +580,16 @@ mod tests {
 
         // A fresh run with no streaming case fails even against a
         // baseline that never had one.
-        let pre_streaming = synthetic_report("avx2", vec![synthetic_case("frozen_predict", 5.5)]);
-        let fresh_without = synthetic_report("avx2", vec![synthetic_case("frozen_predict", 5.5)]);
+        let pre_streaming = without(
+            synthetic_report("avx2", vec![synthetic_case("frozen_predict", 5.5)]),
+            "streaming_predict",
+        );
+        let fresh_without = pre_streaming.clone();
         let verdict = judge(&pre_streaming, &fresh_without);
         assert!(!verdict.pass);
-        assert!(verdict
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.check == "streaming case present in fresh run"));
+        assert!(verdict.checks.iter().any(|c| !c.pass
+            && c.case == "streaming_predict"
+            && c.check == "case present in fresh run"));
     }
 
     #[test]
@@ -907,15 +646,19 @@ mod tests {
 
         // A fresh run with no serve case fails even against a baseline
         // that never had one.
-        let pre_serve = synthetic_report("avx2", vec![synthetic_case("streaming_predict", 8.0)]);
-        let fresh_without =
-            synthetic_report("avx2", vec![synthetic_case("streaming_predict", 7.0)]);
+        let pre_serve = without(
+            synthetic_report("avx2", vec![synthetic_case("streaming_predict", 8.0)]),
+            "serve_throughput",
+        );
+        let fresh_without = without(
+            synthetic_report("avx2", vec![synthetic_case("streaming_predict", 7.0)]),
+            "serve_throughput",
+        );
         let verdict = judge(&pre_serve, &fresh_without);
         assert!(!verdict.pass);
-        assert!(verdict
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.check == "serve case present in fresh run"));
+        assert!(verdict.checks.iter().any(|c| !c.pass
+            && c.case == "serve_throughput"
+            && c.check == "case present in fresh run"));
     }
 
     #[test]
@@ -955,10 +698,9 @@ mod tests {
         };
         let verdict = judge(&strip(&base), &strip(&base));
         assert!(!verdict.pass);
-        assert!(verdict
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.check == "backbone case present in fresh run"));
+        assert!(verdict.checks.iter().any(|c| !c.pass
+            && c.case.starts_with("backbone_")
+            && c.check == "case present in fresh run"));
     }
 
     #[test]
@@ -996,5 +738,98 @@ mod tests {
         let verdict = judge(&report, &empty);
         assert!(!verdict.pass);
         assert_eq!(verdict.compared, 0);
+    }
+
+    /// `report` with `name`'s speedup replaced.
+    fn with_speedup(mut report: PerfReport, name: &str, speedup: f64) -> PerfReport {
+        for case in &mut report.sweeps[0].cases {
+            if case.name == name {
+                case.speedup = speedup;
+            }
+        }
+        report
+    }
+
+    fn fails(verdict: &RegressVerdict, case: &str, check: &str) -> bool {
+        !verdict.pass
+            && verdict
+                .checks
+                .iter()
+                .any(|c| !c.pass && c.case == case && c.check == check)
+    }
+
+    #[test]
+    fn scalar_twin_frozen_predict_floor_is_1_15() {
+        let base = synthetic_report("avx2", vec![synthetic_case("frozen_predict", 5.5)]);
+        let twin = synthetic_report("scalar", vec![synthetic_case("frozen_predict", 1.12)]);
+        assert!(fails(
+            &judge(&base, &twin),
+            "frozen_predict",
+            "speedup floor"
+        ));
+        let twin = with_speedup(twin, "frozen_predict", 1.16);
+        assert!(judge(&base, &twin).pass);
+    }
+
+    #[test]
+    fn fresh_case_without_a_gate_row_fails() {
+        let base = synthetic_report("avx2", Vec::new());
+        let mut fresh = base.clone();
+        fresh.sweeps[0]
+            .cases
+            .push(synthetic_case("ungated_predict", 4.0));
+        assert!(fails(
+            &judge(&base, &fresh),
+            "ungated_predict",
+            "case has a gate row"
+        ));
+    }
+
+    #[test]
+    fn obs_overhead_gates_hold_2_and_5_percent() {
+        let base = synthetic_report("avx2", Vec::new());
+        // Speedup is bare time over instrumented time: 3% overhead reads
+        // 1/1.03, 6% reads 1/1.06.
+        let off = with_speedup(base.clone(), "obs_overhead_off", 1.0 / 1.03);
+        assert!(fails(
+            &judge(&base, &off),
+            "obs_overhead_off",
+            "speedup floor"
+        ));
+        let trace = with_speedup(base.clone(), "obs_overhead_trace", 1.0 / 1.06);
+        assert!(fails(
+            &judge(&base, &trace),
+            "obs_overhead_trace",
+            "speedup floor"
+        ));
+        // Inside both budgets: 1% off, 4% trace.
+        let ok = with_speedup(base.clone(), "obs_overhead_off", 1.0 / 1.01);
+        let ok = with_speedup(ok, "obs_overhead_trace", 1.0 / 1.04);
+        assert!(judge(&base, &ok).pass);
+    }
+
+    #[test]
+    fn serve_throughput_floor_is_1000_req_per_sec() {
+        let base = synthetic_report("avx2", Vec::new());
+        let mut slow = base.clone();
+        for case in &mut slow.sweeps[0].cases {
+            if let Some(serve) = &mut case.serve {
+                serve.req_per_sec = 900.0;
+            }
+        }
+        assert!(fails(
+            &judge(&base, &slow),
+            "serve_throughput",
+            "req/s floor"
+        ));
+
+        // Missing serving stats fail both SLO checks.
+        let mut blind = base.clone();
+        for case in &mut blind.sweeps[0].cases {
+            case.serve = None;
+        }
+        let verdict = judge(&base, &blind);
+        assert!(fails(&verdict, "serve_throughput", "req/s floor"));
+        assert!(fails(&verdict, "serve_throughput", "p99 within SLO"));
     }
 }

@@ -1,5 +1,5 @@
-//! Closed-loop load harness for the ds-serve micro-batching server (the
-//! `loadtest` binary and the perf suite's `serve_throughput` case).
+//! Closed-loop load harness for the ds-serve micro-batching server,
+//! behind the perf suite's `serve_throughput` case.
 //!
 //! Simulates a fleet of meters reporting at mixed cadences — 30 s, 1 min
 //! and 10 min, the reporting intervals of real smart-meter deployments —
@@ -31,7 +31,6 @@ use std::time::{Duration, Instant};
 
 use ds_camal::Camal;
 use ds_serve::{Client, ModelRegistry, ServeConfig, Server};
-use serde::Serialize;
 use serde_json::Value;
 
 use crate::perf::PerfScale;
@@ -71,13 +70,11 @@ impl LoadConfig {
     }
 }
 
-/// Everything one run measured, serialized for CI and the perf case.
-#[derive(Debug, Clone, Serialize)]
+/// What one run measured, for the `serve_throughput` perf case.
+#[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Requests in the timed phase.
     pub requests: u64,
-    /// Simulated meters.
-    pub meters: u64,
     /// Wall time of the timed phase, seconds.
     pub elapsed_secs: f64,
     /// Served throughput over the timed phase.
@@ -89,14 +86,9 @@ pub struct LoadReport {
     /// Wall time of the direct-call baseline: the same request sequence
     /// as sequential single-window `FrozenCamal` calls, no server.
     pub direct_secs: f64,
-    /// `direct_secs / elapsed_secs` — how the served path compares to
-    /// bare in-process inference (HTTP + JSON overhead vs batching gain).
-    pub speedup: f64,
     /// Responses whose decision diverged from the direct-call oracle
     /// (detection flag, status mask, or probability beyond 1e-6).
     pub flips: u64,
-    /// Largest probability deviation observed against the oracle.
-    pub max_prob_delta: f64,
     /// Non-200 responses in the timed phase (must be zero: the main
     /// server is sized so admission control never trips under the
     /// schedule).
@@ -105,10 +97,6 @@ pub struct LoadReport {
     pub steady_allocs: u64,
     /// Mean batch fill over the timed phase, in `[0, 1]`.
     pub mean_batch_fill: f64,
-    /// Batches dispatched full vs by deadline expiry.
-    pub full_batches: u64,
-    /// See [`LoadReport::full_batches`].
-    pub deadline_batches: u64,
     /// Successful streaming `push` requests in the stream smoke.
     pub push_oks: u64,
     /// 200s observed while burst-loading the shallow-queue probe server.
@@ -313,7 +301,6 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
     // Oracle diff, off the clock.
     let mut flips = 0u64;
     let mut errors = 0u64;
-    let mut max_prob_delta = 0.0f64;
     for (idx, status, reply, _) in &results {
         if *status != 200 {
             errors += 1;
@@ -330,7 +317,6 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
             .unwrap_or(false);
         let o = &oracle[*idx];
         let delta = (probability - f64::from(o.probability)).abs();
-        max_prob_delta = max_prob_delta.max(delta);
         let status_matches = match parsed.get("status").and_then(Value::as_str) {
             Some(mask) => mask == o.status,
             None => true, // detect responses carry no mask
@@ -366,28 +352,21 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
     let stats = server.stats();
     let steady_allocs = stats.steady_allocs.load(Ordering::Relaxed);
     let mean_batch_fill = stats.mean_batch_fill(server.batch_windows());
-    let full_batches = stats.full_batches.load(Ordering::Relaxed);
-    let deadline_batches = stats.deadline_batches.load(Ordering::Relaxed);
     server.shutdown();
 
     let (overload_ok, overload_rejected, recovered) = overload_probe(model, config.window);
 
     LoadReport {
         requests: results.len() as u64,
-        meters: config.meters as u64,
         elapsed_secs,
         req_per_sec: results.len() as f64 / elapsed_secs,
         p50_ms: percentile_ms(&latencies, 0.50),
         p99_ms: percentile_ms(&latencies, 0.99),
         direct_secs,
-        speedup: direct_secs / elapsed_secs,
         flips,
-        max_prob_delta,
         errors,
         steady_allocs,
         mean_batch_fill,
-        full_batches,
-        deadline_batches,
         push_oks,
         overload_ok,
         overload_rejected,
@@ -461,39 +440,6 @@ fn overload_probe(model: &Camal, window: usize) -> (u64, u64, bool) {
     (ok, rejected, recovered)
 }
 
-/// Render a report as human-readable lines (the loadtest binary's
-/// output; CI greps the PASS verdict printed separately).
-pub fn render(report: &LoadReport) -> String {
-    format!(
-        "serve loadtest: {} requests from {} meters\n\
-         \x20 throughput {:.0} req/s (elapsed {:.2} s; direct baseline {:.2} s, {:.2}x)\n\
-         \x20 latency p50 {:.2} ms  p99 {:.2} ms\n\
-         \x20 oracle: {} flips, max probability delta {:.1e}, {} errors\n\
-         \x20 batching: mean fill {:.2} ({} full, {} deadline), steady allocs {}\n\
-         \x20 streaming: {} push oks\n\
-         \x20 overload probe: {} ok, {} rejected (503), recovered: {}\n",
-        report.requests,
-        report.meters,
-        report.req_per_sec,
-        report.elapsed_secs,
-        report.direct_secs,
-        report.speedup,
-        report.p50_ms,
-        report.p99_ms,
-        report.flips,
-        report.max_prob_delta,
-        report.errors,
-        report.mean_batch_fill,
-        report.full_batches,
-        report.deadline_batches,
-        report.steady_allocs,
-        report.push_oks,
-        report.overload_ok,
-        report.overload_rejected,
-        report.recovered,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,6 +465,9 @@ mod tests {
 
     #[test]
     fn tiny_load_run_is_flip_free_and_backpressure_works() {
+        let _obs = crate::perf::OBS_LEVEL_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let tiny = PerfScale {
             batch: 2,
             window: 96,

@@ -1,5 +1,5 @@
 //! Property and concurrency tests for ds-obs: bucket boundaries,
-//! quantile monotonicity, counter atomicity under crossbeam threads,
+//! quantile monotonicity, counter atomicity under scoped threads,
 //! JSONL round-trips, and the disabled-mode "emits nothing" guarantee.
 //!
 //! Tests that touch process-global state (level, sink, global registry)
@@ -74,23 +74,22 @@ proptest! {
     }
 }
 
-/// Increments from many crossbeam threads — including first-touch races
+/// Increments from many scoped threads — including first-touch races
 /// on a fresh name — must never be lost.
 #[test]
 fn counter_atomicity_under_threads() {
     let registry = Registry::new();
     const THREADS: usize = 8;
     const INCREMENTS: u64 = 10_000;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 for _ in 0..INCREMENTS {
                     registry.counter_add("shared", 1);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     assert_eq!(registry.counter_get("shared"), THREADS as u64 * INCREMENTS);
 }
 
@@ -99,17 +98,16 @@ fn counter_atomicity_under_threads() {
 fn histogram_counts_under_threads() {
     let registry = Registry::new();
     let registry = &registry;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..4 {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..5_000u64 {
                     let v = ((t * 5_000 + i) % 100) as f64 / 100.0;
                     registry.observe("p", v, Buckets::Unit);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     assert_eq!(registry.histogram_summary("p").unwrap().count, 20_000);
 }
 
