@@ -27,8 +27,8 @@ cargo build --release
 echo "==> tier-1 and every member crate's tests: cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> scalar twin: tier-1 with DS_SIMD=off"
-DS_SIMD=off cargo test -q
+echo "==> scalar twin: tier-1 and the plan crates' tests with DS_SIMD=off"
+DS_SIMD=off cargo test -q -p devicescope -p ds-neural -p ds-camal
 
 echo "==> benchmark: perfbench builds and passes its tests with its lockfile unchanged"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml

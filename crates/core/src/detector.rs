@@ -7,7 +7,7 @@ use crate::ensemble::ResNetEnsemble;
 use crate::z_normalize_window;
 use ds_neural::tensor::Tensor;
 use ds_neural::train::{train_classifier, TrainConfig, TrainReport};
-use ds_neural::{Backbone, DetectorNet, FrozenDetector, QuantizedDetector, ResNet};
+use ds_neural::{Backbone, DetectorNet, FrozenDetector, ResNet};
 
 /// The lifecycle surface of one ensemble member, independent of its
 /// architecture: train on weak labels, predict probability + class-1 CAM,
@@ -41,7 +41,9 @@ pub trait Detector {
     fn freeze(&self) -> FrozenDetector;
 
     /// Compile into the int8 serving plan, calibrating on `calib`.
-    fn freeze_quantized(&self, calib: &Tensor) -> QuantizedDetector;
+    fn freeze_quantized(&self, calib: &Tensor) -> FrozenDetector {
+        self.freeze().quantize(calib)
+    }
 }
 
 impl Detector for DetectorNet {
@@ -69,10 +71,6 @@ impl Detector for DetectorNet {
     fn freeze(&self) -> FrozenDetector {
         DetectorNet::freeze(self)
     }
-
-    fn freeze_quantized(&self, calib: &Tensor) -> QuantizedDetector {
-        DetectorNet::freeze_quantized(self, calib)
-    }
 }
 
 impl Detector for ResNet {
@@ -99,13 +97,6 @@ impl Detector for ResNet {
 
     fn freeze(&self) -> FrozenDetector {
         FrozenDetector::ResNet(ds_neural::FrozenResNet::freeze(self))
-    }
-
-    fn freeze_quantized(&self, calib: &Tensor) -> QuantizedDetector {
-        QuantizedDetector::ResNet(ds_neural::QuantizedResNet::quantize(
-            &ds_neural::FrozenResNet::freeze(self),
-            calib,
-        ))
     }
 }
 

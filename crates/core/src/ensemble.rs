@@ -14,7 +14,7 @@ use crate::config::CamalConfig;
 use crate::detector::Detector;
 use ds_neural::tensor::Tensor;
 use ds_neural::train::TrainReport;
-use ds_neural::{Backbone, DetectorNet, FrozenDetector, InferenceArena, QuantizedDetector};
+use ds_neural::{Backbone, DetectorNet, FrozenDetector, InferenceArena};
 use serde::{Deserialize, Serialize};
 
 /// Numeric precision of a frozen serving plan.
@@ -215,13 +215,12 @@ impl DetectorEnsemble {
                 .members
                 .iter()
                 .map(|m| FrozenMember {
-                    plan: MemberPlan::F32(Detector::freeze(m)),
+                    plan: Detector::freeze(m),
                     arena: InferenceArena::new(),
                 })
                 .collect(),
             ens_probs: Vec::new(),
             batch: 0,
-            precision: Precision::F32,
         }
     }
 
@@ -237,13 +236,12 @@ impl DetectorEnsemble {
                 .members
                 .iter()
                 .map(|m| FrozenMember {
-                    plan: MemberPlan::Int8(Detector::freeze_quantized(m, calib)),
+                    plan: Detector::freeze_quantized(m, calib),
                     arena: InferenceArena::new(),
                 })
                 .collect(),
             ens_probs: Vec::new(),
             batch: 0,
-            precision: Precision::Int8,
         }
     }
 
@@ -266,51 +264,13 @@ impl DetectorEnsemble {
     }
 }
 
-/// The compiled serving plan of one member, at either precision. Both
-/// variants serve through the same [`InferenceArena`] interface.
-#[derive(Debug, Clone)]
-enum MemberPlan {
-    F32(FrozenDetector),
-    Int8(QuantizedDetector),
-}
-
-impl MemberPlan {
-    fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        match self {
-            MemberPlan::F32(net) => net.predict_into(x, arena),
-            MemberPlan::Int8(net) => net.predict_into(x, arena),
-        }
-    }
-
-    fn kernel(&self) -> usize {
-        match self {
-            MemberPlan::F32(net) => net.kernel(),
-            MemberPlan::Int8(net) => net.kernel(),
-        }
-    }
-
-    fn backbone(&self) -> Backbone {
-        match self {
-            MemberPlan::F32(net) => net.backbone(),
-            MemberPlan::Int8(net) => net.backbone(),
-        }
-    }
-
-    fn param_bits(&self) -> Vec<u32> {
-        match self {
-            MemberPlan::F32(net) => net.param_bits(),
-            MemberPlan::Int8(net) => net.param_bits(),
-        }
-    }
-}
-
 /// One frozen member plus its private inference arena. The arena holds
 /// the member's most recent outputs (probabilities, CAMs, logits) in
 /// place — reading them costs nothing and writing the next batch reuses
 /// the same memory.
 #[derive(Debug, Clone)]
 pub struct FrozenMember {
-    plan: MemberPlan,
+    plan: FrozenDetector,
     arena: InferenceArena,
 }
 
@@ -342,7 +302,7 @@ impl FrozenMember {
 }
 
 /// The serving form of a [`DetectorEnsemble`]: every member compiled to a
-/// [`FrozenDetector`] (or [`QuantizedDetector`] at int8), plus reused
+/// [`FrozenDetector`] (at f32 or int8), plus reused
 /// output buffers. Built once per trained ensemble via
 /// [`DetectorEnsemble::freeze`].
 ///
@@ -359,8 +319,6 @@ pub struct FrozenEnsemble {
     ens_probs: Vec<f32>,
     /// Window count of the most recent pass.
     batch: usize,
-    /// Numeric precision every member plan was compiled at.
-    precision: Precision,
 }
 
 impl FrozenEnsemble {
@@ -371,7 +329,11 @@ impl FrozenEnsemble {
 
     /// Numeric precision of the member plans.
     pub fn precision(&self) -> Precision {
-        self.precision
+        if self.members.iter().any(|m| m.plan.is_int8()) {
+            Precision::Int8
+        } else {
+            Precision::F32
+        }
     }
 
     /// Whether the ensemble has no members (never true for a built one).

@@ -66,7 +66,7 @@ pub mod train;
 
 pub use config::{CamalConfig, LocalizerConfig};
 pub use detector::{Detection, Detector};
-pub use ds_neural::{Backbone, DetectorNet, FrozenDetector, QuantizedDetector};
+pub use ds_neural::{Backbone, DetectorNet, FrozenDetector};
 pub use ensemble::{DetectorEnsemble, FrozenEnsemble, MemberOutput, Precision, ResNetEnsemble};
 pub use error::CamalError;
 pub use localizer::{Localization, LocalizationBatch, WINDOW_CHUNK};

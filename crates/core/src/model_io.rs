@@ -106,6 +106,7 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
         1 => {
             let ckpt: CamalCheckpointV1 =
                 serde_json::from_value(&value).map_err(|e| CamalIoError::Format(e.to_string()))?;
+            require_members(ckpt.ensemble.members.len())?;
             let members = ckpt
                 .ensemble
                 .members
@@ -120,12 +121,24 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
         2 => {
             let ckpt: CamalCheckpoint =
                 serde_json::from_value(&value).map_err(|e| CamalIoError::Format(e.to_string()))?;
+            require_members(ckpt.ensemble.len())?;
             Ok(Camal::from_parts(ckpt.ensemble, ckpt.config))
         }
         other => Err(CamalIoError::Version {
             found: other as u32,
         }),
     }
+}
+
+/// A model with no members cannot predict (every inference path averages
+/// over members), so an empty ensemble is a malformed checkpoint.
+fn require_members(count: usize) -> Result<(), CamalIoError> {
+    if count == 0 {
+        return Err(CamalIoError::Format(
+            "checkpoint ensemble has no members".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Save a trained model to a file.
@@ -276,6 +289,28 @@ mod tests {
             from_json("{\"config\":{}}"),
             Err(CamalIoError::Format(_))
         ));
+    }
+
+    #[test]
+    fn empty_ensembles_are_rejected_at_load() {
+        // An empty member list has the same shape in both schemas.
+        let v1 = serde_json::to_string(&CamalCheckpointV1 {
+            format_version: 1,
+            config: CamalConfig::fast_test(),
+            ensemble: EnsembleV1 {
+                members: Vec::new(),
+            },
+        })
+        .unwrap();
+        let v2 = v1.replace("\"format_version\":1", "\"format_version\":2");
+        for json in [v1, v2] {
+            assert!(json.contains("\"members\":[]"), "{json}");
+            match from_json(&json) {
+                Err(CamalIoError::Format(msg)) => assert!(msg.contains("no members"), "{msg}"),
+                Err(other) => panic!("empty ensemble: wrong error {other}"),
+                Ok(_) => panic!("empty ensemble loaded: {json}"),
+            }
+        }
     }
 
     #[test]

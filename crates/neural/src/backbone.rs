@@ -15,11 +15,10 @@
 //! - [`DetectorNet`]: a trainable member of any backbone. Its externally
 //!   tagged serde form (`{"ResNet": {...}}`) doubles as the per-member
 //!   backbone tag of v2 checkpoints.
-//! - [`FrozenDetector`] / [`QuantizedDetector`]: the compiled serving
-//!   forms at f32 / int8, all honoring the frozen-plan contract (probs
-//!   within 1e-4 of the mutable path, CAMs within 1e-3, zero decision
-//!   flips, zero steady-state allocations against a warm
-//!   [`InferenceArena`]).
+//! - [`FrozenDetector`]: the compiled serving form at f32 or int8, all
+//!   honoring the frozen-plan contract (probs within 1e-4 of the mutable
+//!   path at f32, CAMs within 1e-3, zero decision flips, zero
+//!   steady-state allocations against a warm [`InferenceArena`]).
 //!
 //! ds-core's `Detector` trait is implemented over these enums; the
 //! dynamic dispatch lives there, the concrete folding lives here.
@@ -27,7 +26,6 @@
 use crate::frozen::FrozenResNet;
 use crate::inception::{FrozenInception, InceptionConfig, InceptionNet};
 use crate::plan::InferenceArena;
-use crate::quant::QuantizedResNet;
 use crate::resnet::{ResNet, ResNetConfig};
 use crate::tensor::{Matrix, Tensor};
 use crate::train::NeuralNet;
@@ -193,14 +191,8 @@ impl DetectorNet {
 
     /// Compile into the int8 serving form, calibrating activation scales
     /// on `calib`.
-    pub fn freeze_quantized(&self, calib: &Tensor) -> QuantizedDetector {
-        match self.freeze() {
-            FrozenDetector::ResNet(f) => {
-                QuantizedDetector::ResNet(QuantizedResNet::quantize(&f, calib))
-            }
-            FrozenDetector::Inception(f) => QuantizedDetector::Inception(f.quantize(calib)),
-            FrozenDetector::TransApp(f) => QuantizedDetector::TransApp(f.quantize(calib)),
-        }
+    pub fn freeze_quantized(&self, calib: &Tensor) -> FrozenDetector {
+        self.freeze().quantize(calib)
     }
 }
 
@@ -240,7 +232,8 @@ impl NeuralNet for DetectorNet {
     }
 }
 
-/// A frozen f32 serving plan of any backbone.
+/// A frozen serving plan of any backbone, at f32 or (after
+/// [`FrozenDetector::quantize`]) int8.
 #[derive(Debug, Clone)]
 pub enum FrozenDetector {
     /// See [`Backbone::ResNet`].
@@ -258,6 +251,25 @@ impl FrozenDetector {
             FrozenDetector::ResNet(_) => Backbone::ResNet,
             FrozenDetector::Inception(_) => Backbone::Inception,
             FrozenDetector::TransApp(_) => Backbone::TransApp,
+        }
+    }
+
+    /// Quantize this f32 plan into an int8 plan of the same backbone,
+    /// calibrating activation scales on `calib`.
+    pub fn quantize(&self, calib: &Tensor) -> FrozenDetector {
+        match self {
+            FrozenDetector::ResNet(p) => FrozenDetector::ResNet(p.quantize(calib)),
+            FrozenDetector::Inception(p) => FrozenDetector::Inception(p.quantize(calib)),
+            FrozenDetector::TransApp(p) => FrozenDetector::TransApp(p.quantize(calib)),
+        }
+    }
+
+    /// Whether this plan runs the int8 convs.
+    pub fn is_int8(&self) -> bool {
+        match self {
+            FrozenDetector::ResNet(p) => p.is_int8(),
+            FrozenDetector::Inception(p) => p.is_int8(),
+            FrozenDetector::TransApp(p) => p.is_int8(),
         }
     }
 
@@ -285,55 +297,6 @@ impl FrozenDetector {
             FrozenDetector::ResNet(p) => p.param_bits(),
             FrozenDetector::Inception(p) => p.param_bits(),
             FrozenDetector::TransApp(p) => p.param_bits(),
-        }
-    }
-}
-
-/// An int8-quantized serving plan of any backbone.
-#[derive(Debug, Clone)]
-pub enum QuantizedDetector {
-    /// See [`Backbone::ResNet`].
-    ResNet(QuantizedResNet),
-    /// See [`Backbone::Inception`]; carries int8 convs internally.
-    Inception(FrozenInception),
-    /// See [`Backbone::TransApp`]; carries int8 convs internally.
-    TransApp(FrozenTransApp),
-}
-
-impl QuantizedDetector {
-    /// This plan's architecture tag.
-    pub fn backbone(&self) -> Backbone {
-        match self {
-            QuantizedDetector::ResNet(_) => Backbone::ResNet,
-            QuantizedDetector::Inception(_) => Backbone::Inception,
-            QuantizedDetector::TransApp(_) => Backbone::TransApp,
-        }
-    }
-
-    /// Kernel size of the source member.
-    pub fn kernel(&self) -> usize {
-        match self {
-            QuantizedDetector::ResNet(p) => p.kernel(),
-            QuantizedDetector::Inception(p) => p.kernel(),
-            QuantizedDetector::TransApp(p) => p.kernel(),
-        }
-    }
-
-    /// Full forward pass into `arena` — zero steady-state allocations.
-    pub fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        match self {
-            QuantizedDetector::ResNet(p) => p.predict_into(x, arena),
-            QuantizedDetector::Inception(p) => p.predict_into(x, arena),
-            QuantizedDetector::TransApp(p) => p.predict_into(x, arena),
-        }
-    }
-
-    /// Raw parameter bits in a fixed traversal order.
-    pub fn param_bits(&self) -> Vec<u32> {
-        match self {
-            QuantizedDetector::ResNet(p) => p.param_bits(),
-            QuantizedDetector::Inception(p) => p.param_bits(),
-            QuantizedDetector::TransApp(p) => p.param_bits(),
         }
     }
 }
@@ -407,6 +370,7 @@ mod tests {
             assert_eq!(frozen.backbone(), b);
             let quant = net.freeze_quantized(&x);
             assert_eq!(quant.backbone(), b);
+            assert!(!frozen.is_int8() && quant.is_int8(), "{b}");
             let (probs, _) = net.infer_with_cam(&x);
             let mut arena = InferenceArena::new();
             frozen.predict_into(&x, &mut arena);

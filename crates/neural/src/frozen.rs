@@ -27,12 +27,18 @@
 //! `frozen_plan` golden tests and the perf harness — is *tolerance plus
 //! decision identity*: logits within `1e-4` max-abs, and exactly the same
 //! detections (`prob > 0.5`) and localization masks.
+//!
+//! One plan type serves both precisions: every conv is a `PlanConv`,
+//! and [`FrozenResNet::quantize`] swaps each for its calibrated int8
+//! [`QuantConv`] (see [`crate::quant`]). The Inception and TransApp plans
+//! follow the same pattern.
 
 use crate::batchnorm::BatchNorm1d;
 use crate::conv::{accumulate_conv, accumulate_conv4t2, Conv1d};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
+use crate::quant::QuantConv;
 use crate::resblock::ResidualBlock;
 use crate::resnet::ResNet;
 use crate::tensor::Tensor;
@@ -226,49 +232,130 @@ impl FrozenConv {
     }
 }
 
-/// A residual block compiled to three folded convolutions plus an
-/// optional folded projection shortcut.
+/// One conv of a frozen plan at either precision — every backbone's plan
+/// holds its convs as `PlanConv`s, so one plan type serves f32 and int8.
 #[derive(Debug, Clone)]
-pub struct FrozenBlock {
-    pub(crate) stage1: FrozenConv,
-    pub(crate) stage2: FrozenConv,
-    pub(crate) stage3: FrozenConv,
-    pub(crate) shortcut: Option<FrozenConv>,
-    /// Input channels.
-    pub in_channels: usize,
-    /// Output channels.
-    pub out_channels: usize,
+pub(crate) enum PlanConv {
+    F32(FrozenConv),
+    Int8(QuantConv),
+}
+
+impl PlanConv {
+    pub(crate) fn infer_into(
+        &self,
+        x: &[f32],
+        batch: usize,
+        l: usize,
+        y: &mut [f32],
+        relu: bool,
+        qbuf: &mut [i8],
+    ) {
+        match self {
+            PlanConv::F32(c) => c.infer_into(x, batch, l, y, relu),
+            PlanConv::Int8(c) => c.infer_into(x, batch, l, y, relu, qbuf),
+        }
+    }
+
+    pub(crate) fn quantize(&self, input_maxabs: f32) -> PlanConv {
+        match self {
+            PlanConv::F32(c) => PlanConv::Int8(QuantConv::quantize(c, input_maxabs)),
+            PlanConv::Int8(_) => panic!("plan is already quantized"),
+        }
+    }
+
+    pub(crate) fn push_bits(&self, bits: &mut Vec<u32>) {
+        match self {
+            PlanConv::F32(c) => c.push_bits(bits),
+            PlanConv::Int8(c) => c.push_bits(bits),
+        }
+    }
+
+    pub(crate) fn is_int8(&self) -> bool {
+        matches!(self, PlanConv::Int8(_))
+    }
+}
+
+/// Largest absolute value in `s` (calibration ranges).
+pub(crate) fn maxabs(s: &[f32]) -> f32 {
+    s.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
+}
+
+/// Calibration record of one residual block: max-abs of the block input
+/// (feeds stage1 and the projection shortcut) and of the two mid-stage
+/// activations.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockRanges {
+    input: f32,
+    mid1: f32,
+    mid2: f32,
+}
+
+/// A residual block compiled to three folded convolutions plus an
+/// optional folded projection shortcut, at either precision.
+#[derive(Debug, Clone)]
+struct FrozenBlock {
+    stage1: PlanConv,
+    stage2: PlanConv,
+    stage3: PlanConv,
+    shortcut: Option<PlanConv>,
+    in_channels: usize,
+    out_channels: usize,
 }
 
 impl FrozenBlock {
     fn freeze(block: &ResidualBlock) -> FrozenBlock {
         let fold = |i: usize| {
             let (conv, bn) = block.stage_parts(i);
-            FrozenConv::fold(conv, bn)
+            PlanConv::F32(FrozenConv::fold(conv, bn))
         };
         FrozenBlock {
             stage1: fold(0),
             stage2: fold(1),
             stage3: fold(2),
-            shortcut: block.shortcut_parts().map(|(c, b)| FrozenConv::fold(c, b)),
+            shortcut: block
+                .shortcut_parts()
+                .map(|(c, b)| PlanConv::F32(FrozenConv::fold(c, b))),
             in_channels: block.in_channels,
             out_channels: block.out_channels,
         }
     }
 
     /// Run the block: read from `x`, leave the result in `out`, clobber
-    /// `tmp`. The dataflow mirrors [`ResidualBlock::infer`] with every
-    /// BN/ReLU pass fused away:
+    /// `tmp` (and `qbuf` at int8). The dataflow mirrors
+    /// [`ResidualBlock::infer`] with every BN/ReLU pass fused away:
     /// `out ← relu(st1(x))`, `tmp ← relu(st2(out))`, `out ← st3(tmp)`,
-    /// then `out ← relu(out + shortcut(x)|x)`.
-    fn infer_into(&self, x: &[f32], out: &mut [f32], tmp: &mut [f32], batch: usize, l: usize) {
+    /// then `out ← relu(out + shortcut(x)|x)` — the shortcut add stays f32
+    /// at either precision. `ranges` records activation max-abs when
+    /// calibrating.
+    #[allow(clippy::too_many_arguments)]
+    fn infer_into(
+        &self,
+        x: &[f32],
+        out: &mut [f32],
+        tmp: &mut [f32],
+        qbuf: &mut [i8],
+        batch: usize,
+        l: usize,
+        mut ranges: Option<&mut BlockRanges>,
+    ) {
         let n_out = batch * self.out_channels * l;
-        self.stage1.infer_into(x, batch, l, out, true);
-        self.stage2.infer_into(&out[..n_out], batch, l, tmp, true);
-        self.stage3.infer_into(&tmp[..n_out], batch, l, out, false);
+        if let Some(r) = ranges.as_deref_mut() {
+            r.input = r.input.max(maxabs(&x[..batch * self.in_channels * l]));
+        }
+        self.stage1.infer_into(x, batch, l, out, true, qbuf);
+        if let Some(r) = ranges.as_deref_mut() {
+            r.mid1 = r.mid1.max(maxabs(&out[..n_out]));
+        }
+        self.stage2
+            .infer_into(&out[..n_out], batch, l, tmp, true, qbuf);
+        if let Some(r) = ranges {
+            r.mid2 = r.mid2.max(maxabs(&tmp[..n_out]));
+        }
+        self.stage3
+            .infer_into(&tmp[..n_out], batch, l, out, false, qbuf);
         match &self.shortcut {
             Some(sc) => {
-                sc.infer_into(x, batch, l, tmp, false);
+                sc.infer_into(x, batch, l, tmp, false, qbuf);
                 for (o, &r) in out[..n_out].iter_mut().zip(&tmp[..n_out]) {
                     *o = (*o + r).max(0.0);
                 }
@@ -280,28 +367,38 @@ impl FrozenBlock {
             }
         }
     }
+
+    fn push_bits(&self, bits: &mut Vec<u32>) {
+        self.stage1.push_bits(bits);
+        self.stage2.push_bits(bits);
+        self.stage3.push_bits(bits);
+        if let Some(sc) = &self.shortcut {
+            sc.push_bits(bits);
+        }
+    }
 }
 
 /// An immutable, BN-folded, fused, arena-driven compilation of a trained
-/// [`ResNet`]. Build one with [`FrozenResNet::freeze`] (or
-/// `ResNet`-holding wrappers' `freeze()` methods) after training; it
-/// shares no state with the source network.
+/// [`ResNet`], at either precision. Build one with
+/// [`FrozenResNet::freeze`] (or `ResNet`-holding wrappers' `freeze()`
+/// methods) after training, and an int8 one from it with
+/// [`FrozenResNet::quantize`]; it shares no state with the source network.
 #[derive(Debug, Clone)]
 pub struct FrozenResNet {
-    pub(crate) blocks: Vec<FrozenBlock>,
+    blocks: Vec<FrozenBlock>,
     /// Head weights `[num_classes, features]`, row-major.
-    pub(crate) head_weight: Vec<f32>,
+    head_weight: Vec<f32>,
     /// Head bias `[num_classes]`.
-    pub(crate) head_bias: Vec<f32>,
-    pub(crate) in_channels: usize,
-    pub(crate) features: usize,
-    pub(crate) num_classes: usize,
-    pub(crate) kernel: usize,
-    pub(crate) max_channels: usize,
+    head_bias: Vec<f32>,
+    in_channels: usize,
+    features: usize,
+    num_classes: usize,
+    kernel: usize,
+    max_channels: usize,
 }
 
 impl FrozenResNet {
-    /// Compile `net` into a frozen plan. `net` is read, not consumed —
+    /// Compile `net` into a frozen f32 plan. `net` is read, not consumed —
     /// training can continue on it and a new plan can be frozen later.
     pub fn freeze(net: &ResNet) -> FrozenResNet {
         let head: &Linear = net.head();
@@ -330,6 +427,40 @@ impl FrozenResNet {
         }
     }
 
+    /// Quantize this f32 plan into an int8 plan, calibrating every conv's
+    /// input activation scale by replaying `calib` (a `[n, in_channels,
+    /// l]` batch of held-out windows, pre-processed exactly like serving
+    /// inputs) through the f32 path. The residual adds, GAP, head and CAM
+    /// stay f32.
+    pub fn quantize(&self, calib: &Tensor) -> FrozenResNet {
+        let mut ranges = vec![BlockRanges::default(); self.blocks.len()];
+        self.forward(calib, &mut InferenceArena::new(), Some(&mut ranges));
+        let blocks = self
+            .blocks
+            .iter()
+            .zip(&ranges)
+            .map(|(b, r)| FrozenBlock {
+                stage1: b.stage1.quantize(r.input),
+                stage2: b.stage2.quantize(r.mid1),
+                stage3: b.stage3.quantize(r.mid2),
+                shortcut: b.shortcut.as_ref().map(|sc| sc.quantize(r.input)),
+                in_channels: b.in_channels,
+                out_channels: b.out_channels,
+            })
+            .collect();
+        FrozenResNet {
+            blocks,
+            head_weight: self.head_weight.clone(),
+            head_bias: self.head_bias.clone(),
+            ..*self
+        }
+    }
+
+    /// Whether this plan was built by [`FrozenResNet::quantize`].
+    pub fn is_int8(&self) -> bool {
+        self.blocks[0].stage1.is_int8()
+    }
+
     /// Kernel size of the source member (the ensemble diversity knob).
     pub fn kernel(&self) -> usize {
         self.kernel
@@ -355,17 +486,36 @@ impl FrozenResNet {
     /// and logits ([`InferenceArena::logits_row`]). Zero heap allocations
     /// once the arena has seen the shape.
     pub fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        let _span = ds_obs::span!("frozen.forward");
+        let _span = ds_obs::span!(if self.is_int8() {
+            "frozen.forward.int8"
+        } else {
+            "frozen.forward"
+        });
+        self.forward(x, arena, None);
+    }
+
+    /// [`FrozenResNet::predict_into`] without the span; `ranges` (one
+    /// record per block) collects activation max-abs when calibrating.
+    fn forward(
+        &self,
+        x: &Tensor,
+        arena: &mut InferenceArena,
+        mut ranges: Option<&mut [BlockRanges]>,
+    ) {
         let (b, c, l) = x.shape();
         assert_eq!(c, self.in_channels, "frozen input channel mismatch");
         assert!(b > 0 && l > 0, "frozen forward needs a non-empty batch");
-        arena.ensure(b, l, self.max_channels, self.features, self.num_classes);
-        let (buf_a, buf_b, buf_c, _qbuf, _aux, pooled, logits, softmax, probs, cams) =
-            arena.parts();
+        if self.is_int8() {
+            arena.ensure_quant(b, l, self.max_channels, self.features, self.num_classes);
+        } else {
+            arena.ensure(b, l, self.max_channels, self.features, self.num_classes);
+        }
+        let (buf_a, buf_b, buf_c, qbuf, _aux, pooled, logits, softmax, probs, cams) = arena.parts();
         buf_a[..b * c * l].copy_from_slice(&x.data[..b * c * l]);
         let mut c_in = self.in_channels;
-        for block in &self.blocks {
-            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, b, l);
+        for (i, block) in self.blocks.iter().enumerate() {
+            let r = ranges.as_deref_mut().map(|r| &mut r[i]);
+            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, qbuf, b, l, r);
             std::mem::swap(buf_a, buf_b);
             c_in = block.out_channels;
         }
@@ -386,19 +536,15 @@ impl FrozenResNet {
         );
     }
 
-    /// Every folded parameter as raw `f32` bits in a fixed traversal
-    /// order. Two plans with equal `param_bits` compute bit-identical
-    /// outputs; the model_io round-trip test uses this to assert
-    /// `freeze(load(save(net)))` equals `freeze(net)` exactly.
+    /// Every parameter as raw bits in a fixed traversal order (int8
+    /// codes widened to `u32`, with their scales). Two plans with equal
+    /// `param_bits` compute bit-identical outputs; the model_io
+    /// round-trip test uses this to assert `freeze(load(save(net)))`
+    /// equals `freeze(net)` exactly.
     pub fn param_bits(&self) -> Vec<u32> {
         let mut bits = Vec::new();
         for block in &self.blocks {
-            block.stage1.push_bits(&mut bits);
-            block.stage2.push_bits(&mut bits);
-            block.stage3.push_bits(&mut bits);
-            if let Some(sc) = &block.shortcut {
-                sc.push_bits(&mut bits);
-            }
+            block.push_bits(&mut bits);
         }
         bits.extend(self.head_weight.iter().map(|v| v.to_bits()));
         bits.extend(self.head_bias.iter().map(|v| v.to_bits()));

@@ -19,19 +19,18 @@
 //! shared [`InferenceArena`] (branch staging lives in the arena's aux
 //! scratch) with zero steady-state allocations. [`FrozenInception`] serves
 //! both precisions: [`FrozenInception::quantize`] rebuilds every conv as a
-//! calibrated int8 [`QuantConv`] while pooling, concat and the residual
-//! adds stay f32.
+//! calibrated int8 [`crate::quant::QuantConv`] while pooling, concat and
+//! the residual adds stay f32.
 
 use crate::activations::{relu_infer, ReLU};
 use crate::batchnorm::BatchNorm1d;
 use crate::cam::cam_from_features;
 use crate::conv::Conv1d;
-use crate::frozen::{finish_forward, FrozenConv};
+use crate::frozen::{finish_forward, maxabs, FrozenConv, PlanConv};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
 use crate::pool::GlobalAvgPool;
-use crate::quant::QuantConv;
 use crate::tensor::{Matrix, Tensor};
 use crate::VisitParams;
 use serde::{Deserialize, Serialize};
@@ -432,49 +431,6 @@ impl VisitParams for InceptionNet {
 // Frozen plan
 // ---------------------------------------------------------------------------
 
-/// One conv of a frozen plan at either precision (shared by the Inception
-/// and TransApp frozen forms; ResNet keeps its dedicated types).
-#[derive(Debug, Clone)]
-pub(crate) enum PlanConv {
-    F32(FrozenConv),
-    Int8(QuantConv),
-}
-
-impl PlanConv {
-    pub(crate) fn infer_into(
-        &self,
-        x: &[f32],
-        batch: usize,
-        l: usize,
-        y: &mut [f32],
-        relu: bool,
-        qbuf: &mut [i8],
-    ) {
-        match self {
-            PlanConv::F32(c) => c.infer_into(x, batch, l, y, relu),
-            PlanConv::Int8(c) => c.infer_into(x, batch, l, y, relu, qbuf),
-        }
-    }
-
-    pub(crate) fn quantize(&self, input_maxabs: f32) -> PlanConv {
-        match self {
-            PlanConv::F32(c) => PlanConv::Int8(QuantConv::quantize(c, input_maxabs)),
-            PlanConv::Int8(_) => panic!("plan is already quantized"),
-        }
-    }
-
-    pub(crate) fn push_bits(&self, bits: &mut Vec<u32>) {
-        match self {
-            PlanConv::F32(c) => c.push_bits(bits),
-            PlanConv::Int8(c) => c.push_bits(bits),
-        }
-    }
-
-    pub(crate) fn is_int8(&self) -> bool {
-        matches!(self, PlanConv::Int8(_))
-    }
-}
-
 /// Calibration record of one frozen inception block: max-abs of the block
 /// input (feeds bottleneck, pool and shortcut) and of the bottleneck and
 /// pooled activations (feed the branch convs).
@@ -497,10 +453,6 @@ struct FrozenIncBlock {
     /// Branch width (`out_channels / 4`).
     width: usize,
     out_channels: usize,
-}
-
-fn maxabs(s: &[f32]) -> f32 {
-    s.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
 }
 
 impl FrozenIncBlock {
@@ -659,7 +611,8 @@ impl FrozenInception {
     /// input activation scale by replaying `calib` through the f32 path.
     /// Pooling, concat, the residual adds and the head stay f32.
     pub fn quantize(&self, calib: &Tensor) -> FrozenInception {
-        let ranges = self.calibrate(calib);
+        let mut ranges = vec![IncRanges::default(); self.blocks.len()];
+        self.forward(calib, &mut InferenceArena::new(), Some(&mut ranges));
         let blocks = self
             .blocks
             .iter()
@@ -680,40 +633,6 @@ impl FrozenInception {
             head_bias: self.head_bias.clone(),
             ..*self
         }
-    }
-
-    /// Replay `calib` through the f32 plan, recording each conv's input
-    /// activation range. One-time pass at quantize time — allocates freely.
-    fn calibrate(&self, calib: &Tensor) -> Vec<IncRanges> {
-        let (b, c, l) = calib.shape();
-        assert_eq!(c, self.in_channels, "calibration channel mismatch");
-        assert!(b > 0 && l > 0, "calibration needs a non-empty batch");
-        let act = b * self.max_channels * l;
-        let mut cur = vec![0.0f32; act];
-        let mut out = vec![0.0f32; act];
-        let mut tmp = vec![0.0f32; act];
-        let mut aux = vec![0.0f32; self.aux_len(b, l)];
-        cur[..b * c * l].copy_from_slice(&calib.data[..b * c * l]);
-        let mut ranges = Vec::with_capacity(self.blocks.len());
-        let mut c_in = self.in_channels;
-        for block in &self.blocks {
-            let mut r = IncRanges::default();
-            block.infer_into(
-                &cur[..b * c_in * l],
-                &mut out,
-                &mut tmp,
-                &mut aux,
-                &mut [],
-                b,
-                l,
-                Some(&mut r),
-            );
-            let n_out = b * block.out_channels * l;
-            cur[..n_out].copy_from_slice(&out[..n_out]);
-            c_in = block.out_channels;
-            ranges.push(r);
-        }
-        ranges
     }
 
     fn aux_len(&self, batch: usize, l: usize) -> usize {
@@ -760,6 +679,17 @@ impl FrozenInception {
         } else {
             "frozen.forward"
         });
+        self.forward(x, arena, None);
+    }
+
+    /// [`FrozenInception::predict_into`] without the span; `ranges` (one
+    /// record per block) collects activation max-abs when calibrating.
+    fn forward(
+        &self,
+        x: &Tensor,
+        arena: &mut InferenceArena,
+        mut ranges: Option<&mut [IncRanges]>,
+    ) {
         let (b, c, l) = x.shape();
         assert_eq!(c, self.in_channels, "frozen input channel mismatch");
         assert!(b > 0 && l > 0, "frozen forward needs a non-empty batch");
@@ -772,8 +702,9 @@ impl FrozenInception {
         let (buf_a, buf_b, buf_c, qbuf, aux, pooled, logits, softmax, probs, cams) = arena.parts();
         buf_a[..b * c * l].copy_from_slice(&x.data[..b * c * l]);
         let mut c_in = self.in_channels;
-        for block in &self.blocks {
-            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, aux, qbuf, b, l, None);
+        for (i, block) in self.blocks.iter().enumerate() {
+            let r = ranges.as_deref_mut().map(|r| &mut r[i]);
+            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, aux, qbuf, b, l, r);
             std::mem::swap(buf_a, buf_b);
             c_in = block.out_channels;
         }

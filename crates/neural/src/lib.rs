@@ -35,10 +35,12 @@
 //! - [`frozen`], [`plan`]: the compiled serving form — BatchNorm folded into
 //!   conv weights, ReLU fused into the conv epilogue, and a ping-pong
 //!   inference arena that makes steady-state prediction allocation-free.
+//!   One plan type per backbone serves both precisions.
 //! - [`simd`]: runtime-dispatched AVX2/FMA kernels for the frozen path
 //!   (`DS_SIMD=off` forces the scalar determinism twins).
-//! - [`quant`]: the int8 symmetric-quantized frozen plan — per-channel
-//!   weight scales, calibrated activation scales, exact i32 accumulation.
+//! - [`quant`]: the int8 symmetric-quantized conv the frozen plans switch
+//!   to — per-channel weight scales, calibrated activation scales, exact
+//!   i32 accumulation.
 //! - [`serialize`]: JSON weight persistence for trained models.
 //!
 //! Every differentiable layer is covered by finite-difference gradient
@@ -63,19 +65,16 @@ pub mod resnet;
 pub mod sample;
 pub mod serialize;
 pub mod simd;
-pub mod streaming;
 pub mod tensor;
 pub mod train;
 pub mod transapp;
 pub mod workspace;
 
-pub use backbone::{Backbone, DetectorNet, FrozenDetector, QuantizedDetector};
+pub use backbone::{Backbone, DetectorNet, FrozenDetector};
 pub use frozen::FrozenResNet;
 pub use inception::{FrozenInception, InceptionConfig, InceptionNet};
 pub use plan::InferenceArena;
-pub use quant::QuantizedResNet;
 pub use resnet::{ResNet, ResNetConfig};
-pub use streaming::{StreamError, StreamingPlan};
 pub use tensor::{Matrix, Tensor};
 pub use train::NeuralNet;
 pub use transapp::{FrozenTransApp, TransAppConfig, TransAppNet};

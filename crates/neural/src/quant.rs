@@ -1,7 +1,8 @@
-//! The int8 symmetric-quantized frozen plan.
+//! The int8 conv of the frozen plans.
 //!
-//! [`QuantizedResNet::quantize`] compiles a [`FrozenResNet`] (already
-//! BN-folded and fused) into an int8 serving form:
+//! Every backbone's `quantize` (e.g. [`crate::FrozenResNet::quantize`])
+//! rebuilds each conv of an f32 frozen plan (already BN-folded and fused)
+//! as a [`QuantConv`], so the same plan type serves both precisions:
 //!
 //! - **Weights** are quantized per output channel: each folded `[ic, k]`
 //!   slab gets `w_scale[oc] = maxabs(W'[oc])/127`, and
@@ -27,10 +28,8 @@
 //! decision flips on the calibration corpus (CI) and on the tri-state
 //! golden series.
 
-use crate::frozen::{finish_forward, FrozenConv, FrozenResNet};
-use crate::plan::InferenceArena;
+use crate::frozen::FrozenConv;
 use crate::simd;
-use crate::tensor::Tensor;
 
 /// Guard against all-zero slabs: a zero scale would divide by zero; any
 /// positive scale maps a zero slab to zero codes, so the value is moot.
@@ -101,16 +100,6 @@ impl QuantConv {
             combined,
             bias: conv.bias.clone(),
         }
-    }
-
-    /// Per-output-channel weight scales (exposed for the property tests).
-    pub fn weight_scales(&self) -> &[f32] {
-        &self.w_scale
-    }
-
-    /// Input activation scale from calibration.
-    pub fn input_scale(&self) -> f32 {
-        self.x_scale
     }
 
     #[inline]
@@ -192,247 +181,14 @@ impl QuantConv {
     }
 }
 
-/// A residual block of quantized convolutions (same dataflow as
-/// [`FrozenBlock`], f32 activations between stages).
-#[derive(Debug, Clone)]
-pub(crate) struct QuantizedBlock {
-    pub(crate) stage1: QuantConv,
-    pub(crate) stage2: QuantConv,
-    pub(crate) stage3: QuantConv,
-    pub(crate) shortcut: Option<QuantConv>,
-    pub(crate) out_channels: usize,
-}
-
-impl QuantizedBlock {
-    /// `out ← relu(q1(x))`, `tmp ← relu(q2(out))`, `out ← q3(tmp)`, then
-    /// `out ← relu(out + shortcut(x)|x)` — shortcut adds stay f32.
-    fn infer_into(
-        &self,
-        x: &[f32],
-        out: &mut [f32],
-        tmp: &mut [f32],
-        qbuf: &mut [i8],
-        batch: usize,
-        l: usize,
-    ) {
-        let n_out = batch * self.out_channels * l;
-        self.stage1.infer_into(x, batch, l, out, true, qbuf);
-        self.stage2
-            .infer_into(&out[..n_out], batch, l, tmp, true, qbuf);
-        self.stage3
-            .infer_into(&tmp[..n_out], batch, l, out, false, qbuf);
-        match &self.shortcut {
-            Some(sc) => {
-                sc.infer_into(x, batch, l, tmp, false, qbuf);
-                for (o, &r) in out[..n_out].iter_mut().zip(&tmp[..n_out]) {
-                    *o = (*o + r).max(0.0);
-                }
-            }
-            None => {
-                for (o, &r) in out[..n_out].iter_mut().zip(&x[..n_out]) {
-                    *o = (*o + r).max(0.0);
-                }
-            }
-        }
-    }
-}
-
-/// Per-block calibration record: max-abs of the block input (feeds stage1
-/// and the projection shortcut) and of the two mid-stage activations.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockRanges {
-    input: f32,
-    mid1: f32,
-    mid2: f32,
-}
-
-/// Replay `calib` through the f32 frozen plan, recording each conv's
-/// input activation range. One-time pass at quantize time — allocates
-/// freely.
-fn calibrate(frozen: &FrozenResNet, calib: &Tensor) -> Vec<BlockRanges> {
-    let (b, c, l) = calib.shape();
-    assert_eq!(c, frozen.in_channels, "calibration channel mismatch");
-    assert!(b > 0 && l > 0, "calibration needs a non-empty batch");
-    let maxabs = |s: &[f32]| s.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    let act = b * frozen.max_channels * l;
-    let mut cur = vec![0.0f32; act];
-    let mut out = vec![0.0f32; act];
-    let mut tmp = vec![0.0f32; act];
-    cur[..b * c * l].copy_from_slice(&calib.data[..b * c * l]);
-    let mut c_in = frozen.in_channels;
-    let mut ranges = Vec::with_capacity(frozen.blocks.len());
-    for block in &frozen.blocks {
-        let n_in = b * c_in * l;
-        let n_out = b * block.out_channels * l;
-        let mut r = BlockRanges {
-            input: maxabs(&cur[..n_in]),
-            ..Default::default()
-        };
-        block.stage1.infer_into(&cur[..n_in], b, l, &mut out, true);
-        r.mid1 = maxabs(&out[..n_out]);
-        block.stage2.infer_into(&out[..n_out], b, l, &mut tmp, true);
-        r.mid2 = maxabs(&tmp[..n_out]);
-        block
-            .stage3
-            .infer_into(&tmp[..n_out], b, l, &mut out, false);
-        match &block.shortcut {
-            Some(sc) => {
-                sc.infer_into(&cur[..n_in], b, l, &mut tmp, false);
-                for (o, &s) in out[..n_out].iter_mut().zip(&tmp[..n_out]) {
-                    *o = (*o + s).max(0.0);
-                }
-            }
-            None => {
-                for (o, &s) in out[..n_out].iter_mut().zip(&cur[..n_out]) {
-                    *o = (*o + s).max(0.0);
-                }
-            }
-        }
-        cur[..n_out].copy_from_slice(&out[..n_out]);
-        c_in = block.out_channels;
-        ranges.push(r);
-    }
-    ranges
-}
-
-/// The int8 compilation of a [`FrozenResNet`]: per-channel weight codes,
-/// calibrated activation scales, f32 head. Serves through the same
-/// [`InferenceArena`] interface as the f32 plan.
-#[derive(Debug, Clone)]
-pub struct QuantizedResNet {
-    pub(crate) blocks: Vec<QuantizedBlock>,
-    pub(crate) head_weight: Vec<f32>,
-    pub(crate) head_bias: Vec<f32>,
-    pub(crate) in_channels: usize,
-    pub(crate) features: usize,
-    pub(crate) num_classes: usize,
-    pub(crate) kernel: usize,
-    pub(crate) max_channels: usize,
-}
-
-impl QuantizedResNet {
-    /// Quantize a frozen plan, calibrating activation scales on `calib`
-    /// (a `[n, in_channels, l]` batch of held-out windows, pre-processed
-    /// exactly like serving inputs).
-    pub fn quantize(frozen: &FrozenResNet, calib: &Tensor) -> QuantizedResNet {
-        let ranges = calibrate(frozen, calib);
-        let blocks = frozen
-            .blocks
-            .iter()
-            .zip(&ranges)
-            .map(|(b, r)| QuantizedBlock {
-                stage1: QuantConv::quantize(&b.stage1, r.input),
-                stage2: QuantConv::quantize(&b.stage2, r.mid1),
-                stage3: QuantConv::quantize(&b.stage3, r.mid2),
-                shortcut: b
-                    .shortcut
-                    .as_ref()
-                    .map(|sc| QuantConv::quantize(sc, r.input)),
-                out_channels: b.out_channels,
-            })
-            .collect();
-        QuantizedResNet {
-            blocks,
-            head_weight: frozen.head_weight.clone(),
-            head_bias: frozen.head_bias.clone(),
-            in_channels: frozen.in_channels,
-            features: frozen.features,
-            num_classes: frozen.num_classes,
-            kernel: frozen.kernel,
-            max_channels: frozen.max_channels,
-        }
-    }
-
-    /// Kernel size of the source member.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Channel count of the last block's feature maps.
-    pub fn features(&self) -> usize {
-        self.features
-    }
-
-    /// Widest channel count of any activation tensor (arena sizing).
-    pub fn max_channels(&self) -> usize {
-        self.max_channels
-    }
-
-    /// Number of classes of the head.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Every stage's calibrated conv, in traversal order (property tests).
-    pub fn convs(&self) -> Vec<&QuantConv> {
-        let mut out = Vec::new();
-        for b in &self.blocks {
-            out.push(&b.stage1);
-            out.push(&b.stage2);
-            out.push(&b.stage3);
-            if let Some(sc) = &b.shortcut {
-                out.push(sc);
-            }
-        }
-        out
-    }
-
-    /// Full forward pass into `arena` — same outputs and buffers as
-    /// [`FrozenResNet::predict_into`], zero steady-state allocations.
-    pub fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        let _span = ds_obs::span!("frozen.forward.int8");
-        let (b, c, l) = x.shape();
-        assert_eq!(c, self.in_channels, "quantized input channel mismatch");
-        assert!(b > 0 && l > 0, "quantized forward needs a non-empty batch");
-        arena.ensure_quant(b, l, self.max_channels, self.features, self.num_classes);
-        let (buf_a, buf_b, buf_c, qbuf, _aux, pooled, logits, softmax, probs, cams) = arena.parts();
-        buf_a[..b * c * l].copy_from_slice(&x.data[..b * c * l]);
-        let mut c_in = self.in_channels;
-        for block in &self.blocks {
-            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, qbuf, b, l);
-            std::mem::swap(buf_a, buf_b);
-            c_in = block.out_channels;
-        }
-        let feats = &buf_a[..b * self.features * l];
-        finish_forward(
-            feats,
-            &self.head_weight,
-            &self.head_bias,
-            self.features,
-            self.num_classes,
-            b,
-            l,
-            pooled,
-            logits,
-            softmax,
-            probs,
-            cams,
-        );
-    }
-
-    /// Raw parameter bits in a fixed traversal order (codes widened to
-    /// `u32`), for persistence round-trip equality checks.
-    pub fn param_bits(&self) -> Vec<u32> {
-        let mut bits = Vec::new();
-        for block in &self.blocks {
-            block.stage1.push_bits(&mut bits);
-            block.stage2.push_bits(&mut bits);
-            block.stage3.push_bits(&mut bits);
-            if let Some(sc) = &block.shortcut {
-                sc.push_bits(&mut bits);
-            }
-        }
-        bits.extend(self.head_weight.iter().map(|v| v.to_bits()));
-        bits.extend(self.head_bias.iter().map(|v| v.to_bits()));
-        bits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::FrozenResNet;
+    use crate::plan::InferenceArena;
     use crate::resnet::{ResNet, ResNetConfig};
     use crate::simd::{set_mode, SimdMode};
+    use crate::tensor::Tensor;
 
     fn sample_input(b: usize, c: usize, l: usize, seed: usize) -> Tensor {
         let data: Vec<f32> = (0..b * c * l)
@@ -474,7 +230,7 @@ mod tests {
         for kernel in [3usize, 5] {
             let frozen = trained_frozen(kernel);
             let calib = sample_input(8, 1, 40, 11);
-            let quant = QuantizedResNet::quantize(&frozen, &calib);
+            let quant = frozen.quantize(&calib);
             let x = sample_input(4, 1, 40, 0);
             let mut fa = InferenceArena::new();
             let mut qa = InferenceArena::new();
@@ -497,7 +253,7 @@ mod tests {
     fn simd_and_scalar_int8_paths_bit_identical() {
         let frozen = trained_frozen(5);
         let calib = sample_input(8, 1, 40, 7);
-        let quant = QuantizedResNet::quantize(&frozen, &calib);
+        let quant = frozen.quantize(&calib);
         let x = sample_input(3, 1, 40, 5);
         let mut a = InferenceArena::new();
         let mut b = InferenceArena::new();
@@ -520,7 +276,7 @@ mod tests {
     fn steady_state_quantized_predict_allocates_nothing() {
         let frozen = trained_frozen(5);
         let calib = sample_input(4, 1, 32, 1);
-        let quant = QuantizedResNet::quantize(&frozen, &calib);
+        let quant = frozen.quantize(&calib);
         let x = sample_input(3, 1, 32, 2);
         let mut arena = InferenceArena::new();
         quant.predict_into(&x, &mut arena); // warmup sizes the arena

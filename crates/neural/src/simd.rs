@@ -32,6 +32,11 @@
 //!   two-rounding `acc·scale + bias` per element as the scalar twin, so
 //!   the SIMD int8 path is **bit-identical** to the scalar int8 path
 //!   (asserted by the property tests), not merely within tolerance.
+//!
+//! Both families compute whole rows only. Streaming reuses work per
+//! window (`ds_camal::StreamingCamal`), never per conv position: every
+//! window is z-normalized on its own, so no conv output outlives the
+//! window it was computed for.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -149,57 +154,12 @@ fn scalar_positions(
     t0: usize,
     t1: usize,
 ) {
-    scalar_positions_strided(
-        weight,
-        bias,
-        in_channels,
-        kernel,
-        pad,
-        dilation,
-        x_rows,
-        l,
-        y_rows,
-        l,
-        l,
-        relu,
-        oc0,
-        rows,
-        t0,
-        t1,
-    );
-}
-
-/// Strided generalization of [`scalar_positions`]: input and output rows
-/// live at `x_stride`/`y_stride` (≥ `l`) instead of packed at `l`, so the
-/// streaming ring arenas — whose rows are laid out at ring capacity — can
-/// reuse the identical per-element accumulation chain. Bit-identical to
-/// the packed twin for any stride.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn scalar_positions_strided(
-    weight: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    x_rows: &[f32],
-    x_stride: usize,
-    y_rows: &mut [f32],
-    y_stride: usize,
-    l: usize,
-    relu: bool,
-    oc0: usize,
-    rows: usize,
-    t0: usize,
-    t1: usize,
-) {
     for t in t0..t1 {
         for r in 0..rows {
             let oc = oc0 + r;
             let mut acc = bias[oc];
             for ic in 0..in_channels {
-                let x_row = &x_rows[ic * x_stride..ic * x_stride + l];
+                let x_row = &x_rows[ic * l..(ic + 1) * l];
                 let w = &weight[(oc * in_channels + ic) * kernel..][..kernel];
                 for (kk, &wv) in w.iter().enumerate() {
                     let s = t as isize + (kk * dilation) as isize - pad as isize;
@@ -208,23 +168,9 @@ pub(crate) fn scalar_positions_strided(
                     }
                 }
             }
-            y_rows[r * y_stride + t] = if relu { acc.max(0.0) } else { acc };
+            y_rows[r * l + t] = if relu { acc.max(0.0) } else { acc };
         }
     }
-}
-
-/// SIMD-chunk geometry of the f32 AVX2 kernel at row length `l`: the
-/// interior `[t_lo, t_hi)` runs in 8-wide chunks anchored at `t_lo + 8j`,
-/// so positions `[t_lo, chunk_end)` take the FMA path and everything else
-/// the scalar path. `chunk_end` is what the suffix kernel needs to know
-/// about a *previous* row length: positions that change code path between
-/// two lengths must be recomputed even if their inputs did not change.
-#[inline]
-pub(crate) fn f32_chunk_cover(l: usize, pad: usize, kernel: usize, dilation: usize) -> usize {
-    let span = (kernel - 1) * dilation;
-    let t_lo = pad.min(l);
-    let t_hi = (l + pad).saturating_sub(span).clamp(t_lo, l);
-    t_lo + (t_hi - t_lo) / 8 * 8
 }
 
 /// Vectorized frozen conv forward over one batch row: fill `y_rows`
@@ -398,258 +344,6 @@ unsafe fn f32_rows_avx2(
     }
 }
 
-/// Suffix variant of the f32 conv kernel for the streaming plan: given
-/// that only input positions `≥ taint` changed since the rings last held
-/// a consistent prefix of length `l_prev`, recompute exactly the output
-/// positions a fresh batch call at length `l` could produce differently,
-/// and return the first recomputed position (the output taint, which
-/// seeds the next stage's halo).
-///
-/// Two effects force a position to be recomputed:
-///
-/// 1. **Value halo.** Output `t` reads inputs `[t − pad, t + pad]`
-///    (odd kernels), so inputs changing at `taint` dirty outputs from
-///    `g0 = taint − pad`.
-/// 2. **Code-path churn (AVX2 only).** The batch kernel covers
-///    `[t_lo, chunk_end(l))` with FMA chunks and the rest with the scalar
-///    twin; `chunk_end` moves with `l`, and FMA's fused rounding differs
-///    from the scalar chain. Positions whose path differs between
-///    `l_prev` and `l` — `[min(chunk_end(l), chunk_end(l_prev)), l)` —
-///    must be recomputed even though their inputs are unchanged.
-///
-/// The recompute start is snapped down to a chunk anchor (`t_lo + 8j`) so
-/// the suffix run replays the exact instruction structure the batch
-/// kernel would use from that anchor onward. In scalar mode there is no
-/// churn (the per-element chain is position-independent) and the suffix
-/// is exactly `[g0, l)`. `use_avx2` is the caller's captured dispatch
-/// decision — the streaming plan resolves it once so a mid-stream
-/// `DS_SIMD` flip cannot split a ring between code paths.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn frozen_conv_rows_suffix(
-    weight: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    x_rows: &[f32],
-    x_stride: usize,
-    y_rows: &mut [f32],
-    y_stride: usize,
-    l: usize,
-    l_prev: usize,
-    taint: usize,
-    use_avx2: bool,
-    relu: bool,
-) -> usize {
-    debug_assert!(x_stride >= l && y_stride >= l);
-    let g0 = taint.saturating_sub(pad).min(l);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` is only set from a cached `mode() == Avx2`
-        // decision, which requires `is_x86_feature_detected!` success.
-        return unsafe {
-            f32_rows_avx2_suffix(
-                weight,
-                bias,
-                in_channels,
-                out_channels,
-                kernel,
-                pad,
-                dilation,
-                x_rows,
-                x_stride,
-                y_rows,
-                y_stride,
-                l,
-                l_prev,
-                g0,
-                relu,
-            )
-        };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (use_avx2, l_prev);
-    #[cfg(target_arch = "x86_64")]
-    let _ = l_prev;
-    let mut oc = 0;
-    while oc < out_channels {
-        let rows = (out_channels - oc).min(4);
-        scalar_positions_strided(
-            weight,
-            bias,
-            in_channels,
-            kernel,
-            pad,
-            dilation,
-            x_rows,
-            x_stride,
-            &mut y_rows[oc * y_stride..(oc + rows) * y_stride],
-            y_stride,
-            l,
-            relu,
-            oc,
-            rows,
-            g0,
-            l,
-        );
-        oc += rows;
-    }
-    g0
-}
-
-/// AVX2/FMA suffix kernel: replays [`f32_rows_avx2`]'s structure from the
-/// first position whose value or code path can differ at length `l`
-/// versus the consistent prefix of length `l_prev` (see
-/// [`frozen_conv_rows_suffix`] for the halo/churn rules).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn f32_rows_avx2_suffix(
-    weight: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    x_rows: &[f32],
-    x_stride: usize,
-    y_rows: &mut [f32],
-    y_stride: usize,
-    l: usize,
-    l_prev: usize,
-    g0: usize,
-    relu: bool,
-) -> usize {
-    use std::arch::x86_64::*;
-    let span = (kernel - 1) * dilation;
-    let t_lo = pad.min(l);
-    let t_hi = (l + pad).saturating_sub(span).clamp(t_lo, l);
-    let churn = f32_chunk_cover(l, pad, kernel, dilation)
-        .min(f32_chunk_cover(l_prev, pad, kernel, dilation));
-    let zero = _mm256_setzero_ps();
-    let mut out_taint = l;
-    let mut oc = 0;
-    while oc < out_channels {
-        let rows = (out_channels - oc).min(4);
-        let block = &mut y_rows[oc * y_stride..(oc + rows - 1) * y_stride + l];
-        if rows == 4 {
-            let g1 = g0.min(churn);
-            // Snap to a chunk anchor; below `t_lo` the whole row restarts
-            // (the padded head is scalar at every length, but a moved
-            // value halo inside it dirties everything downstream anyway).
-            let (head_end, anchor) = if g1 <= t_lo {
-                (t_lo, t_lo)
-            } else {
-                (0, t_lo + (g1 - t_lo) / 8 * 8)
-            };
-            out_taint = out_taint.min(if head_end == 0 { anchor } else { 0 });
-            let (b0, b1, b2, b3) = (bias[oc], bias[oc + 1], bias[oc + 2], bias[oc + 3]);
-            let tail_from = {
-                let mut t = anchor;
-                while t + 8 <= t_hi {
-                    let mut a0 = _mm256_set1_ps(b0);
-                    let mut a1 = _mm256_set1_ps(b1);
-                    let mut a2 = _mm256_set1_ps(b2);
-                    let mut a3 = _mm256_set1_ps(b3);
-                    for ic in 0..in_channels {
-                        let x_base = x_rows.as_ptr().add(ic * x_stride + t - pad);
-                        let w_base = (oc * in_channels + ic) * kernel;
-                        for kk in 0..kernel {
-                            let xv = _mm256_loadu_ps(x_base.add(kk * dilation));
-                            let w_at = |r: usize| {
-                                _mm256_set1_ps(
-                                    *weight.get_unchecked(w_base + r * in_channels * kernel + kk),
-                                )
-                            };
-                            a0 = _mm256_fmadd_ps(w_at(0), xv, a0);
-                            a1 = _mm256_fmadd_ps(w_at(1), xv, a1);
-                            a2 = _mm256_fmadd_ps(w_at(2), xv, a2);
-                            a3 = _mm256_fmadd_ps(w_at(3), xv, a3);
-                        }
-                    }
-                    if relu {
-                        a0 = _mm256_max_ps(a0, zero);
-                        a1 = _mm256_max_ps(a1, zero);
-                        a2 = _mm256_max_ps(a2, zero);
-                        a3 = _mm256_max_ps(a3, zero);
-                    }
-                    let y = block.as_mut_ptr().add(t);
-                    _mm256_storeu_ps(y, a0);
-                    _mm256_storeu_ps(y.add(y_stride), a1);
-                    _mm256_storeu_ps(y.add(2 * y_stride), a2);
-                    _mm256_storeu_ps(y.add(3 * y_stride), a3);
-                    t += 8;
-                }
-                t
-            };
-            if head_end > 0 {
-                scalar_positions_strided(
-                    weight,
-                    bias,
-                    in_channels,
-                    kernel,
-                    pad,
-                    dilation,
-                    x_rows,
-                    x_stride,
-                    block,
-                    y_stride,
-                    l,
-                    relu,
-                    oc,
-                    4,
-                    0,
-                    head_end,
-                );
-            }
-            scalar_positions_strided(
-                weight,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                x_rows,
-                x_stride,
-                block,
-                y_stride,
-                l,
-                relu,
-                oc,
-                4,
-                tail_from,
-                l,
-            );
-        } else {
-            // Remainder rows are scalar at every length: value halo only.
-            scalar_positions_strided(
-                weight,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                x_rows,
-                x_stride,
-                block,
-                y_stride,
-                l,
-                relu,
-                oc,
-                rows,
-                g0,
-                l,
-            );
-            out_taint = out_taint.min(g0);
-        }
-        oc += rows;
-    }
-    out_taint.min(l)
-}
-
 /// One scalar output position for up to four rows of a quantized conv
 /// block: i32 accumulation over in-range taps, then the two-rounding
 /// dequantization epilogue `acc·combined + bias`. Shared by the scalar
@@ -673,58 +367,12 @@ pub(crate) fn quant_scalar_positions(
     t0: usize,
     t1: usize,
 ) {
-    quant_scalar_positions_strided(
-        wq,
-        combined,
-        bias,
-        in_channels,
-        kernel,
-        pad,
-        dilation,
-        xq_rows,
-        l,
-        y_rows,
-        l,
-        l,
-        relu,
-        oc0,
-        rows,
-        t0,
-        t1,
-    );
-}
-
-/// Strided generalization of [`quant_scalar_positions`] for the streaming
-/// ring arenas (rows at ring capacity, logical length `l`). i32
-/// accumulation is exact, so this is bit-identical to the packed twin —
-/// and to the SIMD path — at any stride.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn quant_scalar_positions_strided(
-    wq: &[i8],
-    combined: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    xq_rows: &[i8],
-    x_stride: usize,
-    y_rows: &mut [f32],
-    y_stride: usize,
-    l: usize,
-    relu: bool,
-    oc0: usize,
-    rows: usize,
-    t0: usize,
-    t1: usize,
-) {
     for t in t0..t1 {
         for r in 0..rows {
             let oc = oc0 + r;
             let mut acc = 0i32;
             for ic in 0..in_channels {
-                let x_row = &xq_rows[ic * x_stride..ic * x_stride + l];
+                let x_row = &xq_rows[ic * l..(ic + 1) * l];
                 let w = &wq[(oc * in_channels + ic) * kernel..][..kernel];
                 for (kk, &wv) in w.iter().enumerate() {
                     let s = t as isize + (kk * dilation) as isize - pad as isize;
@@ -734,230 +382,8 @@ pub(crate) fn quant_scalar_positions_strided(
                 }
             }
             let v = acc as f32 * combined[oc] + bias[oc];
-            y_rows[r * y_stride + t] = if relu { v.max(0.0) } else { v };
+            y_rows[r * l + t] = if relu { v.max(0.0) } else { v };
         }
-    }
-}
-
-/// Suffix variant of the int8 conv kernel for the streaming plan. Because
-/// the i32 accumulation is exact and the dequant epilogue is per-element,
-/// the SIMD and scalar int8 paths are bit-identical at every position —
-/// there is no code-path churn, and the recompute region is exactly the
-/// value halo `[taint − pad, l)`. Returns the output taint
-/// (`taint − pad`, clamped), seeding the next stage's halo.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quant_conv_rows_suffix(
-    wq: &[i8],
-    combined: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    xq_rows: &[i8],
-    x_stride: usize,
-    y_rows: &mut [f32],
-    y_stride: usize,
-    l: usize,
-    taint: usize,
-    use_avx2: bool,
-    relu: bool,
-) -> usize {
-    debug_assert!(x_stride >= l && y_stride >= l);
-    let g0 = taint.saturating_sub(pad).min(l);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` comes from a cached avx2+fma detection.
-        unsafe {
-            quant_rows_avx2_suffix(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                out_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
-                x_stride,
-                y_rows,
-                y_stride,
-                l,
-                g0,
-                relu,
-            );
-        }
-        return g0;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_avx2;
-    let mut oc = 0;
-    while oc < out_channels {
-        let rows = (out_channels - oc).min(4);
-        quant_scalar_positions_strided(
-            wq,
-            combined,
-            bias,
-            in_channels,
-            kernel,
-            pad,
-            dilation,
-            xq_rows,
-            x_stride,
-            &mut y_rows[oc * y_stride..(oc + rows) * y_stride],
-            y_stride,
-            l,
-            relu,
-            oc,
-            rows,
-            g0,
-            l,
-        );
-        oc += rows;
-    }
-    g0
-}
-
-/// AVX2 int8 suffix kernel: i32 lanes over `[g0, l)` only. Chunks may be
-/// anchored anywhere (integer adds are associative), so the suffix starts
-/// vectorizing at `max(g0, t_lo)` directly.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn quant_rows_avx2_suffix(
-    wq: &[i8],
-    combined: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    xq_rows: &[i8],
-    x_stride: usize,
-    y_rows: &mut [f32],
-    y_stride: usize,
-    l: usize,
-    g0: usize,
-    relu: bool,
-) {
-    use std::arch::x86_64::*;
-    let span = (kernel - 1) * dilation;
-    let t_lo = pad.min(l);
-    let t_hi = (l + pad).saturating_sub(span).clamp(t_lo, l);
-    let zero = _mm256_setzero_ps();
-    let mut oc = 0;
-    while oc < out_channels {
-        let rows = (out_channels - oc).min(4);
-        let block = &mut y_rows[oc * y_stride..(oc + rows - 1) * y_stride + l];
-        if rows == 4 {
-            let start = g0.max(t_lo);
-            let mut t = start;
-            while t + 8 <= t_hi {
-                let mut a0 = _mm256_setzero_si256();
-                let mut a1 = _mm256_setzero_si256();
-                let mut a2 = _mm256_setzero_si256();
-                let mut a3 = _mm256_setzero_si256();
-                for ic in 0..in_channels {
-                    let x_base = xq_rows.as_ptr().add(ic * x_stride + t - pad);
-                    let w_base = (oc * in_channels + ic) * kernel;
-                    for kk in 0..kernel {
-                        let raw = _mm_loadl_epi64(x_base.add(kk * dilation) as *const __m128i);
-                        let xv = _mm256_cvtepi8_epi32(raw);
-                        let w_at = |r: usize| {
-                            _mm256_set1_epi32(
-                                *wq.get_unchecked(w_base + r * in_channels * kernel + kk) as i32,
-                            )
-                        };
-                        a0 = _mm256_add_epi32(a0, _mm256_mullo_epi32(xv, w_at(0)));
-                        a1 = _mm256_add_epi32(a1, _mm256_mullo_epi32(xv, w_at(1)));
-                        a2 = _mm256_add_epi32(a2, _mm256_mullo_epi32(xv, w_at(2)));
-                        a3 = _mm256_add_epi32(a3, _mm256_mullo_epi32(xv, w_at(3)));
-                    }
-                }
-                let y = block.as_mut_ptr().add(t);
-                let store = |ptr: *mut f32, acc: __m256i, r: usize| {
-                    let f = _mm256_cvtepi32_ps(acc);
-                    let mut v = _mm256_add_ps(
-                        _mm256_mul_ps(f, _mm256_set1_ps(combined[oc + r])),
-                        _mm256_set1_ps(bias[oc + r]),
-                    );
-                    if relu {
-                        v = _mm256_max_ps(v, zero);
-                    }
-                    _mm256_storeu_ps(ptr, v);
-                };
-                store(y, a0, 0);
-                store(y.add(y_stride), a1, 1);
-                store(y.add(2 * y_stride), a2, 2);
-                store(y.add(3 * y_stride), a3, 3);
-                t += 8;
-            }
-            // Padded head below `t_lo` (if the halo reaches it) plus the
-            // sub-vector remainder.
-            if g0 < start {
-                quant_scalar_positions_strided(
-                    wq,
-                    combined,
-                    bias,
-                    in_channels,
-                    kernel,
-                    pad,
-                    dilation,
-                    xq_rows,
-                    x_stride,
-                    block,
-                    y_stride,
-                    l,
-                    relu,
-                    oc,
-                    4,
-                    g0,
-                    start,
-                );
-            }
-            quant_scalar_positions_strided(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
-                x_stride,
-                block,
-                y_stride,
-                l,
-                relu,
-                oc,
-                4,
-                t,
-                l,
-            );
-        } else {
-            quant_scalar_positions_strided(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
-                x_stride,
-                block,
-                y_stride,
-                l,
-                relu,
-                oc,
-                rows,
-                g0,
-                l,
-            );
-        }
-        oc += rows;
     }
 }
 
@@ -1162,226 +588,6 @@ mod tests {
         set_mode(None);
     }
 
-    /// Grow a row length sample-by-sample and chunk-by-chunk: the suffix
-    /// kernels, fed only the taint position, must leave every ring row
-    /// bit-identical to a from-scratch batch call at the new length —
-    /// in both dispatch modes, at a ring stride wider than the row.
-    #[test]
-    fn suffix_kernels_match_batch_recompute_bitwise() {
-        let avx2_ok = {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        };
-        let cap = 64usize;
-        for kernel in [1usize, 3, 5, 7, 9, 15] {
-            let pad = (kernel - 1) / 2;
-            for (ci, co) in [(1usize, 4usize), (2, 5), (3, 8)] {
-                let weight: Vec<f32> = (0..co * ci * kernel)
-                    .map(|i| ((i * 37 + 11) % 23) as f32 / 46.0 - 0.25)
-                    .collect();
-                let bias: Vec<f32> = (0..co).map(|i| i as f32 * 0.05 - 0.1).collect();
-                let x_full: Vec<f32> = (0..cap)
-                    .map(|i| ((i * 29 % 17) as f32 - 8.0) / 16.0)
-                    .collect();
-                for use_avx2 in [false, true] {
-                    if use_avx2 && !avx2_ok {
-                        continue;
-                    }
-                    for relu in [false, true] {
-                        // Ring state: x rows at stride `cap`, y rows at stride `cap`.
-                        let mut x_ring = vec![0.0f32; ci * cap];
-                        let mut y_ring = vec![0.0f32; co * cap];
-                        let mut l_prev = 0usize;
-                        for l in [1usize, 2, 7, 8, 9, 16, 23, 24, 40, 41, 64] {
-                            for c in 0..ci {
-                                for t in l_prev..l {
-                                    x_ring[c * cap + t] = x_full[(c * 13 + t) % cap];
-                                }
-                            }
-                            let taint = l_prev;
-                            frozen_conv_rows_suffix(
-                                &weight,
-                                &bias,
-                                ci,
-                                co,
-                                kernel,
-                                pad,
-                                1,
-                                &x_ring,
-                                cap,
-                                &mut y_ring,
-                                cap,
-                                l,
-                                l_prev,
-                                taint,
-                                use_avx2,
-                                relu,
-                            );
-                            // From-scratch batch call at length l (packed rows).
-                            let x_packed: Vec<f32> = (0..ci)
-                                .flat_map(|c| x_ring[c * cap..c * cap + l].to_vec())
-                                .collect();
-                            let mut y_packed = vec![0.0f32; co * l];
-                            if use_avx2 {
-                                set_mode(Some(SimdMode::Avx2));
-                                assert!(frozen_conv_rows(
-                                    &weight,
-                                    &bias,
-                                    ci,
-                                    co,
-                                    kernel,
-                                    pad,
-                                    1,
-                                    &x_packed,
-                                    &mut y_packed,
-                                    l,
-                                    relu
-                                ));
-                                set_mode(None);
-                            } else {
-                                let mut oc = 0;
-                                while oc < co {
-                                    let rows = (co - oc).min(4);
-                                    scalar_positions(
-                                        &weight,
-                                        &bias,
-                                        ci,
-                                        kernel,
-                                        pad,
-                                        1,
-                                        &x_packed,
-                                        &mut y_packed[oc * l..(oc + rows) * l],
-                                        l,
-                                        relu,
-                                        oc,
-                                        rows,
-                                        0,
-                                        l,
-                                    );
-                                    oc += rows;
-                                }
-                            }
-                            for c in 0..co {
-                                for t in 0..l {
-                                    assert_eq!(
-                                        y_ring[c * cap + t].to_bits(),
-                                        y_packed[c * l + t].to_bits(),
-                                        "k={kernel} ci={ci} co={co} avx2={use_avx2} relu={relu} l={l} c={c} t={t}"
-                                    );
-                                }
-                            }
-                            l_prev = l;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Same growth protocol for the int8 kernels: suffix recompute over the
-    /// value halo only must be bit-identical to a full batch call.
-    #[test]
-    fn quant_suffix_matches_batch_recompute_bitwise() {
-        let avx2_ok = {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        };
-        let cap = 48usize;
-        for kernel in [1usize, 3, 5, 9] {
-            let pad = (kernel - 1) / 2;
-            let (ci, co) = (2usize, 6usize);
-            let wq: Vec<i8> = (0..co * ci * kernel)
-                .map(|i| ((i * 53 + 7) % 255) as i8)
-                .collect();
-            let combined: Vec<f32> = (0..co).map(|i| 0.002 + i as f32 * 1e-4).collect();
-            let bias: Vec<f32> = (0..co).map(|i| i as f32 * 0.03 - 0.07).collect();
-            for use_avx2 in [false, true] {
-                if use_avx2 && !avx2_ok {
-                    continue;
-                }
-                let mut xq_ring = vec![0i8; ci * cap];
-                let mut y_ring = vec![0.0f32; co * cap];
-                let mut l_prev = 0usize;
-                for l in [1usize, 5, 8, 17, 24, 33, 48] {
-                    for c in 0..ci {
-                        for t in l_prev..l {
-                            xq_ring[c * cap + t] = ((c * 31 + t * 11) % 251) as i8;
-                        }
-                    }
-                    quant_conv_rows_suffix(
-                        &wq,
-                        &combined,
-                        &bias,
-                        ci,
-                        co,
-                        kernel,
-                        pad,
-                        1,
-                        &xq_ring,
-                        cap,
-                        &mut y_ring,
-                        cap,
-                        l,
-                        l_prev,
-                        use_avx2,
-                        true,
-                    );
-                    let xq_packed: Vec<i8> = (0..ci)
-                        .flat_map(|c| xq_ring[c * cap..c * cap + l].to_vec())
-                        .collect();
-                    let mut y_packed = vec![0.0f32; co * l];
-                    let mut oc = 0;
-                    while oc < co {
-                        let rows = (co - oc).min(4);
-                        quant_scalar_positions(
-                            &wq,
-                            &combined,
-                            &bias,
-                            ci,
-                            kernel,
-                            pad,
-                            1,
-                            &xq_packed,
-                            &mut y_packed[oc * l..(oc + rows) * l],
-                            l,
-                            true,
-                            oc,
-                            rows,
-                            0,
-                            l,
-                        );
-                        oc += rows;
-                    }
-                    for c in 0..co {
-                        for t in 0..l {
-                            assert_eq!(
-                                y_ring[c * cap + t].to_bits(),
-                                y_packed[c * l + t].to_bits(),
-                                "k={kernel} avx2={use_avx2} l={l} c={c} t={t}"
-                            );
-                        }
-                    }
-                    l_prev = l;
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn f32_rows_agree_with_scalar_positions() {
         if !std::arch::is_x86_feature_detected!("avx2")

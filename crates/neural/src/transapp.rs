@@ -27,7 +27,7 @@ use crate::activations::{relu_infer, ReLU};
 use crate::batchnorm::BatchNorm1d;
 use crate::cam::cam_from_features;
 use crate::conv::Conv1d;
-use crate::frozen::{finish_forward, FrozenConv};
+use crate::frozen::{finish_forward, maxabs, FrozenConv, PlanConv};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
@@ -35,8 +35,6 @@ use crate::pool::GlobalAvgPool;
 use crate::tensor::{Matrix, Tensor};
 use crate::VisitParams;
 use serde::{Deserialize, Serialize};
-
-pub(crate) use crate::inception::PlanConv;
 
 /// Architecture hyper-parameters of a [`TransAppNet`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -597,10 +595,6 @@ impl FrozenTransBlock {
     }
 }
 
-fn maxabs(s: &[f32]) -> f32 {
-    s.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-}
-
 /// The frozen serving form of a [`TransAppNet`], at either precision —
 /// embedding BN folded into the embedding conv (ReLU fused), block
 /// BatchNorms applied as per-channel affines, attention run inside the
@@ -661,7 +655,8 @@ impl FrozenTransApp {
     /// input activation scale by replaying `calib` through the f32 path.
     /// Attention math, residual adds and the BN affines stay f32.
     pub fn quantize(&self, calib: &Tensor) -> FrozenTransApp {
-        let (embed_range, ranges) = self.calibrate(calib);
+        let mut ranges = vec![TransRanges::default(); self.blocks.len()];
+        self.forward(calib, &mut InferenceArena::new(), Some(&mut ranges));
         let blocks = self
             .blocks
             .iter()
@@ -677,44 +672,12 @@ impl FrozenTransApp {
             })
             .collect();
         FrozenTransApp {
-            embed: self.embed.quantize(embed_range),
+            embed: self.embed.quantize(calib.max_abs()),
             blocks,
             head_weight: self.head_weight.clone(),
             head_bias: self.head_bias.clone(),
             ..*self
         }
-    }
-
-    /// Replay `calib` through the f32 plan, recording each conv's input
-    /// activation range. One-time pass at quantize time — allocates freely.
-    fn calibrate(&self, calib: &Tensor) -> (f32, Vec<TransRanges>) {
-        let (b, c, l) = calib.shape();
-        assert_eq!(c, self.in_channels, "calibration channel mismatch");
-        assert!(b > 0 && l > 0, "calibration needs a non-empty batch");
-        let wide = b * self.max_channels() * l;
-        let mut buf_a = vec![0.0f32; wide];
-        let mut buf_b = vec![0.0f32; wide];
-        let mut buf_c = vec![0.0f32; wide];
-        let mut aux = vec![0.0f32; self.aux_len(b, l)];
-        let embed_range = calib.max_abs();
-        self.embed
-            .infer_into(&calib.data[..b * c * l], b, l, &mut buf_a, true, &mut []);
-        let mut ranges = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let mut r = TransRanges::default();
-            block.infer_into(
-                &mut buf_a,
-                &mut buf_b,
-                &mut buf_c,
-                &mut aux,
-                &mut [],
-                b,
-                l,
-                Some(&mut r),
-            );
-            ranges.push(r);
-        }
-        (embed_range, ranges)
     }
 
     fn aux_len(&self, batch: usize, l: usize) -> usize {
@@ -755,6 +718,17 @@ impl FrozenTransApp {
         } else {
             "frozen.forward"
         });
+        self.forward(x, arena, None);
+    }
+
+    /// [`FrozenTransApp::predict_into`] without the span; `ranges` (one
+    /// record per block) collects activation max-abs when calibrating.
+    fn forward(
+        &self,
+        x: &Tensor,
+        arena: &mut InferenceArena,
+        mut ranges: Option<&mut [TransRanges]>,
+    ) {
         let (b, c, l) = x.shape();
         assert_eq!(c, self.in_channels, "frozen input channel mismatch");
         assert!(b > 0 && l > 0, "frozen forward needs a non-empty batch");
@@ -769,8 +743,9 @@ impl FrozenTransApp {
         self.embed
             .infer_into(&x.data[..b * c * l], b, l, buf_b, true, qbuf);
         buf_a[..b * self.d * l].copy_from_slice(&buf_b[..b * self.d * l]);
-        for block in &self.blocks {
-            block.infer_into(buf_a, buf_b, buf_c, aux, qbuf, b, l, None);
+        for (i, block) in self.blocks.iter().enumerate() {
+            let r = ranges.as_deref_mut().map(|r| &mut r[i]);
+            block.infer_into(buf_a, buf_b, buf_c, aux, qbuf, b, l, r);
         }
         let feats = &buf_a[..b * self.d * l];
         finish_forward(

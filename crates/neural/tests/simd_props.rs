@@ -19,7 +19,7 @@
 use ds_neural::batchnorm::BatchNorm1d;
 use ds_neural::conv::Conv1d;
 use ds_neural::frozen::FrozenConv;
-use ds_neural::quant::{quantize_weights_per_channel, QuantizedResNet};
+use ds_neural::quant::quantize_weights_per_channel;
 use ds_neural::simd::{self, SimdMode};
 use ds_neural::tensor::Tensor;
 use ds_neural::{FrozenResNet, InferenceArena, ResNet, ResNetConfig};
@@ -178,7 +178,7 @@ proptest! {
             .map(|i| ((i as f32 * 0.21).sin() * 1.5) + ((i % 13) as f32 * 0.05))
             .collect();
         let calib = Tensor::from_data(4, 1, WINDOW, calib_data);
-        let quant = QuantizedResNet::quantize(&frozen, &calib);
+        let quant = frozen.quantize(&calib);
         let x_data: Vec<f32> = (0..batch * WINDOW)
             .map(|i| ((i as f32 * 0.17).cos() * 1.2) + ((i % 7) as f32 * 0.1))
             .collect();

@@ -1,5 +1,5 @@
-//! A tiny blocking keep-alive HTTP/1.1 client, for the loadtest harness,
-//! the REPL, and the integration tests. One `Client` = one persistent
+//! A tiny blocking keep-alive HTTP/1.1 client, for the `serve_throughput`
+//! perf case (`ds_bench::serveload`), the REPL, and the integration tests. One `Client` = one persistent
 //! connection; requests are strictly sequential on it.
 
 use std::io::{BufRead, BufReader, Read, Write};

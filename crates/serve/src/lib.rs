@@ -20,8 +20,9 @@
 //! under-filled kernel call. Batching cannot change results: windows in a
 //! batch are computed independently (per-window z-norm, per-window CAM),
 //! and a `PlanKey` fixes the window length, so batches are always
-//! homogeneous. The loadtest oracle and `tests/serve_concurrency.rs`
-//! verify zero decision flips against direct per-request calls.
+//! homogeneous. The `serve_throughput` perf case (`ds_bench::serveload`)
+//! and `tests/serve_concurrency.rs` verify zero decision flips against
+//! direct per-request calls.
 //!
 //! ## Plans, arenas, allocations
 //!
@@ -102,7 +103,7 @@ impl Default for ServeConfig {
 }
 
 /// Live counters a running server exposes on `/api/v1/stats` and that the
-/// loadtest asserts against. All plain atomics so they work (and cost
+/// `serve_throughput` perf case (`ds_bench::serveload`) asserts against. All plain atomics so they work (and cost
 /// nearly nothing) whether or not ds-obs recording is enabled.
 #[derive(Debug, Default)]
 pub struct ServerStats {
@@ -122,7 +123,8 @@ pub struct ServerStats {
     /// Batches dispatched because their deadline expired first.
     pub deadline_batches: AtomicU64,
     /// Heap allocations observed *inside* batched kernel calls after plan
-    /// warmup. The contract is zero; the loadtest asserts it.
+    /// warmup. The contract is zero; the `serve_throughput` perf case
+    /// asserts it.
     pub steady_allocs: AtomicU64,
 }
 

@@ -23,8 +23,15 @@ use ds_neural::simd::{self, SimdMode};
 use ds_neural::tensor::Tensor;
 use ds_neural::train::{train_classifier, TrainConfig};
 use ds_neural::{Backbone, DetectorNet, InferenceArena};
+use std::sync::Mutex;
 
 const WINDOW: usize = 64;
+
+/// Serializes the test that switches the process-global SIMD dispatch
+/// with the test that compares two int8 calibrations bit for bit: the
+/// calibration replay runs the dispatched f32 kernels, so a mode flip
+/// between the two quantize calls would move the activation scales.
+static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// A small linearly separable corpus: odd windows carry a burst.
 fn corpus(n: usize) -> (Vec<Vec<f32>>, Vec<u8>) {
@@ -120,6 +127,7 @@ fn frozen_plans_match_the_mutable_path_for_every_backbone() {
 /// path must each reproduce the mutable reference.
 #[test]
 fn backbone_contract_holds_under_both_dispatches() {
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (dispatch, mode) in [
         ("scalar", SimdMode::Scalar),
         // Falls back to scalar on hosts without AVX2 — the golden then
@@ -204,6 +212,7 @@ fn freeze_after_checkpoint_round_trip_is_bit_identical() {
         let t = calib_input(8);
         (0..8).map(|bi| t.row(bi, 0).to_vec()).collect()
     };
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (label, model) in &zoo {
         let restored = model_io::from_json(&model_io::to_json(model)).unwrap();
         let member_tags = |m: &Camal| -> Vec<Backbone> {

@@ -16,14 +16,18 @@
 //! non-trivial transform) and pushes probabilities away from the 0.5
 //! threshold (making decision-identity meaningful).
 
-use ds_neural::quant::QuantizedResNet;
 use ds_neural::resnet::{ResNet, ResNetConfig};
 use ds_neural::simd::{self, SimdMode};
 use ds_neural::tensor::Tensor;
 use ds_neural::train::{train_classifier, TrainConfig};
-use ds_neural::{FrozenResNet, InferenceArena};
+use ds_neural::{Backbone, DetectorNet, FrozenResNet, InferenceArena};
+use std::sync::Mutex;
 
 const WINDOW: usize = 64;
+
+/// Serializes the tests that switch the process-global SIMD dispatch:
+/// the bit pins must run start to finish on the scalar kernels.
+static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// A small linearly separable corpus: odd windows carry a burst.
 fn corpus(n: usize) -> (Vec<Vec<f32>>, Vec<u8>) {
@@ -143,6 +147,7 @@ fn frozen_matches_reference_with_identity_shortcut() {
 /// either mode, so concurrent tests are unaffected.
 #[test]
 fn frozen_contract_holds_under_both_dispatches() {
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (dispatch, mode) in [
         ("scalar", SimdMode::Scalar),
         // Falls back to scalar on hosts without AVX2 — the golden then
@@ -170,7 +175,7 @@ fn quantized_plan_keeps_decisions_on_goldens() {
     for (i, kernel) in [5usize, 7, 9, 15].into_iter().enumerate() {
         let net = trained_net(kernel, vec![4, 8], 500 + i as u64);
         let frozen = FrozenResNet::freeze(&net);
-        let quant = QuantizedResNet::quantize(&frozen, &calib_input(8));
+        let quant = frozen.quantize(&calib_input(8));
 
         let mut f32_arena = InferenceArena::new();
         let mut int8_arena = InferenceArena::new();
@@ -217,4 +222,105 @@ fn frozen_steady_state_allocates_nothing_across_batches() {
     );
     // And the plan still matches the mutable path after arena reuse.
     assert_frozen_matches(&mut net, "post-reuse k=9 channels=[4,8]");
+}
+
+/// FNV-1a over a stream of 32-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(param_bits hash, output hash)` of one plan; `predict` runs the plan
+/// on `x`, and the output hash covers every window's probability and
+/// class-1 CAM bits.
+fn plan_digest(
+    param_bits: Vec<u32>,
+    x: &Tensor,
+    predict: impl FnOnce(&mut InferenceArena),
+) -> (u64, u64) {
+    let mut arena = InferenceArena::new();
+    predict(&mut arena);
+    let mut out: Vec<u32> = arena.probs()[..x.batch]
+        .iter()
+        .map(|p| p.to_bits())
+        .collect();
+    for bi in 0..x.batch {
+        out.extend(arena.cam(bi).iter().map(|v| v.to_bits()));
+    }
+    (fnv1a(param_bits), fnv1a(out))
+}
+
+/// Exact bits of every backbone's f32 and int8 plans at a fixed seed and
+/// input, on the scalar kernels so the pins do not depend on the host's
+/// SIMD support. The drift goldens above only bound the int8 plan within
+/// 0.05; these pins catch any change to what the plans compute, so a
+/// refactor of the plan types must leave them untouched. Per backbone:
+/// `(f32 params, f32 outputs, int8 params, int8 outputs)`.
+#[test]
+fn plans_are_bit_pinned_on_the_scalar_kernels() {
+    const PINS: [(Backbone, [u64; 4]); 3] = [
+        (
+            Backbone::ResNet,
+            [
+                0xcc06_b01f_c14d_8184,
+                0x55f8_4917_2f2d_8170,
+                0x4767_682e_d6c2_181b,
+                0xe681_3494_91bb_ea36,
+            ],
+        ),
+        (
+            Backbone::Inception,
+            [
+                0xcf13_87ec_7557_f2dc,
+                0xc92a_15ae_fb86_e8ac,
+                0xf31d_f870_6960_837a,
+                0x1fa6_37f7_7a43_3fd1,
+            ],
+        ),
+        (
+            Backbone::TransApp,
+            [
+                0xb9d3_0d70_cba4_cefa,
+                0x471c_4e2f_9984_231e,
+                0x5881_b17e_7420_aad0,
+                0xf43a_0d02_846a_6302,
+            ],
+        ),
+    ];
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    simd::set_mode(Some(SimdMode::Scalar));
+    let (x, calib) = (eval_input(4), calib_input(8));
+    let (windows, labels) = corpus(16);
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 4,
+        patience: None,
+        ..TrainConfig::default()
+    };
+    let got: Vec<(Backbone, [u64; 4])> = Backbone::ALL
+        .into_iter()
+        .map(|backbone| {
+            let mut net = DetectorNet::for_backbone(backbone, 1, &[4, 8], 5, 2, 600);
+            train_classifier(&mut net, &windows, &labels, &cfg);
+            let f32_plan = net.freeze();
+            let (fp, fo) = plan_digest(f32_plan.param_bits(), &x, |arena| {
+                f32_plan.predict_into(&x, arena)
+            });
+            let int8_plan = net.freeze_quantized(&calib);
+            let (qp, qo) = plan_digest(int8_plan.param_bits(), &x, |arena| {
+                int8_plan.predict_into(&x, arena)
+            });
+            (backbone, [fp, fo, qp, qo])
+        })
+        .collect();
+    simd::set_mode(None);
+    for (backbone, pins) in &got {
+        eprintln!("{backbone:?}: {pins:#x?}");
+    }
+    assert_eq!(got, PINS, "plan bits moved (printed above in hex)");
 }

@@ -2,34 +2,20 @@
 //! be **bit-identical** to the batch frozen path at every push, for every
 //! way the same samples can arrive.
 //!
-//! Two layers are pinned here:
-//!
-//! 1. [`StreamingCamal`] (grid-window streaming): at every emitted prefix
-//!    the tri-state status series equals a full
-//!    `FrozenCamal::predict_status_into` on the same samples — the
-//!    earlier-window-wins tail merge, gap-degraded `Unknown` windows and
-//!    all — and every absorbed clean window's probability / CAM / status
-//!    slab equals the batch plan's output bitwise. Property-tested across
-//!    push stride × fault class (the `DS_FAULT` grammar, applied
-//!    in-process with varied seeds) × worker-team size × precision
-//!    (f32 / int8).
-//! 2. [`StreamingPlan`] (suffix-incremental conv): the ring-buffer
-//!    forward over a growing prefix reproduces the batch network's
-//!    probability, logits and CAM bit-for-bit under both SIMD dispatch
-//!    modes — the AVX2 chunk-cover rule is exactly what makes f32
-//!    reuse legal.
+//! [`StreamingCamal`] (grid-window streaming): at every emitted prefix the
+//! tri-state status series equals a full
+//! `FrozenCamal::predict_status_into` on the same samples — the
+//! earlier-window-wins tail merge, gap-degraded `Unknown` windows and all
+//! — and every absorbed clean window's probability / CAM / status slab
+//! equals the batch plan's output bitwise. Property-tested across push
+//! stride × fault class (the `DS_FAULT` grammar, applied in-process with
+//! varied seeds) × worker-team size × precision (f32 / int8).
 
 use std::sync::OnceLock;
 
 use devicescope::camal::{Camal, CamalConfig, StreamingCamal};
 use devicescope::datasets::labels::Corpus;
 use devicescope::datasets::{ApplianceKind, Dataset, DatasetConfig, DatasetPreset};
-use devicescope::neural::plan::InferenceArena;
-use devicescope::neural::resnet::{ResNet, ResNetConfig};
-use devicescope::neural::simd::{set_mode, SimdMode};
-use devicescope::neural::streaming::StreamingPlan;
-use devicescope::neural::tensor::Tensor;
-use devicescope::neural::FrozenResNet;
 use devicescope::timeseries::faults::FaultPlan;
 use devicescope::timeseries::TimeSeries;
 use proptest::prelude::*;
@@ -75,10 +61,9 @@ impl Drop for ThreadGuard {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Layer 2 parity: streamed status (and absorbed-window artifacts)
-    /// equal the batch frozen path bitwise at every push, under every
-    /// combination of arrival stride, fault class, team size and
-    /// precision.
+    /// Streamed status (and absorbed-window artifacts) equal the batch
+    /// frozen path bitwise at every push, under every combination of
+    /// arrival stride, fault class, team size and precision.
     #[test]
     fn streaming_camal_matches_batch_bitwise(
         stride in prop::sample::select(vec![7usize, 30, 60, 90, 120, 133, 1024]),
@@ -152,67 +137,5 @@ proptest! {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             prop_assert!(cam_same, "window {} CAM bits diverged", i);
         }
-    }
-}
-
-/// A briefly-trained tiny network whose BatchNorm statistics have moved
-/// off initialization, frozen for the layer-1 properties.
-fn trained_frozen(kernel: usize) -> FrozenResNet {
-    let mut net = ResNet::new(ResNetConfig::tiny(kernel, 77));
-    let x = Tensor::from_data(
-        6,
-        1,
-        40,
-        (0..6 * 40)
-            .map(|i| ((i * 31 % 17) as f32 - 8.0) / 4.0)
-            .collect(),
-    );
-    for _ in 0..4 {
-        let _ = net.forward(&x, true);
-    }
-    FrozenResNet::freeze(&net)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Layer 1 parity: the ring-buffer suffix forward reproduces the
-    /// batch forward bit-for-bit at every prefix length, for arbitrary
-    /// push partitions, both SIMD modes and odd kernel widths.
-    #[test]
-    fn streaming_plan_matches_batch_at_every_prefix(
-        kernel in prop::sample::select(vec![3usize, 5, 7]),
-        chunks in prop::collection::vec(1usize..24, 3..10),
-        scalar in prop::sample::select(vec![false, true]),
-        seed in 0usize..50,
-    ) {
-        let frozen = trained_frozen(kernel);
-        let total: usize = chunks.iter().sum();
-        let series: Vec<f32> = (0..total)
-            .map(|i| (((i + seed) * 31 % 17) as f32 - 8.0) / 4.0)
-            .collect();
-        set_mode(Some(if scalar { SimdMode::Scalar } else { SimdMode::Avx2 }));
-        let mut plan = StreamingPlan::for_frozen(&frozen, total);
-        let mut arena = InferenceArena::new();
-        let mut off = 0usize;
-        for &chunk in &chunks {
-            let end = (off + chunk).min(total);
-            plan.push(&series[off..end]).unwrap();
-            off = end;
-            let x = Tensor::from_data(1, 1, off, series[..off].to_vec());
-            frozen.predict_into(&x, &mut arena);
-            prop_assert_eq!(
-                plan.probability().to_bits(),
-                arena.probs()[0].to_bits(),
-                "probability at prefix {} (k {}, scalar {})", off, kernel, scalar
-            );
-            let cam_same = plan
-                .cam()
-                .iter()
-                .zip(arena.cam(0))
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            prop_assert!(cam_same, "CAM bits diverged at prefix {}", off);
-        }
-        set_mode(None);
     }
 }
