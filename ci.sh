@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the test suites, the benchmark build,
-# and the perf gates. Every perf bound is a row of GATES in
+# Local CI gate: formatting, lints, warning-free docs, the test suites, the
+# benchmark build, and the perf gates. Every perf bound is a row of GATES in
 # crates/bench/src/gates.rs; `regress` applies them to each perf report.
 #
 #   ./ci.sh            # run everything
@@ -20,6 +20,9 @@ if [[ $run_lint -eq 1 ]]; then
     echo "==> cargo clippy --workspace -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
 fi
+
+echo "==> docs: cargo doc --workspace --no-deps, warnings are errors"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

@@ -5,9 +5,9 @@
 //! two axes the model zoo trades between.
 //!
 //! Each row trains (on first use) and serves a full single-backbone
-//! ensemble at the session's precision; models and plans stay cached
-//! under their backbone-tagged keys, so re-rendering the table is cheap
-//! and the session backbone is restored when the view is done.
+//! ensemble; models and plans stay cached under their backbone-tagged
+//! keys, so re-rendering the table is cheap and the session backbone is
+//! restored when the view is done.
 
 use crate::state::{AppError, AppState};
 use ds_camal::Backbone;
@@ -16,8 +16,8 @@ use ds_timeseries::missing::{impute, Imputation};
 use std::time::Instant;
 
 /// Serving-latency probe repetitions per backbone. The table reports the
-/// fastest repetition: the first call may fold (or quantize) a plan, and
-/// the steady-state latency is what the serving SLO is about.
+/// fastest repetition: the first call may fold a plan, and the
+/// steady-state latency is what the serving SLO is about.
 const LATENCY_REPS: usize = 5;
 
 /// Render the comparison table for `kinds` (the selected appliances).
@@ -33,11 +33,7 @@ fn render_rows(state: &mut AppState, kinds: &[ApplianceKind]) -> Result<String, 
     let clean = impute(&window, Imputation::Linear).into_values();
     let mut out = String::new();
     for &kind in kinds {
-        out.push_str(&format!(
-            "── Backbone comparison: {} ({} precision) ──\n",
-            kind.name(),
-            state.precision().label()
-        ));
+        out.push_str(&format!("── Backbone comparison: {} ──\n", kind.name()));
         out.push_str("backbone    acc   bacc  f1    window ms\n");
         for backbone in Backbone::ALL {
             state.set_backbone(backbone);

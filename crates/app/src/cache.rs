@@ -93,8 +93,8 @@ impl<K: Ord + Clone, V> BoundedCache<K, V> {
     }
 
     /// Drop every entry (the bound is unchanged) — used when a global
-    /// setting the cached values depend on changes, e.g. the serving
-    /// precision invalidating prediction overlays.
+    /// setting the cached values depend on changes, e.g. the session
+    /// backbone invalidating prediction overlays.
     pub fn clear(&mut self) {
         self.map.clear();
         self.order.clear();

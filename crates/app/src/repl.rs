@@ -51,7 +51,6 @@ impl Repl {
          \x20 probs                    model detection probabilities\n\
          \x20 patterns [appliance]     example appliance signatures\n\
          \x20 insights                 per-appliance energy breakdown\n\
-         \x20 precision [f32|int8]     show or switch the serving precision\n\
          \x20 backbone [resnet|inception|transapp]  show or switch the detector backbone\n\
          \x20 backbones                per-backbone accuracy vs serving latency\n\
          \x20 benchmark <dataset> [measure]   benchmark frame (B.1)\n\
@@ -182,19 +181,6 @@ impl Repl {
                     crate::insights::render(&usages, total)
                 }
             }
-            "precision" => match arg1 {
-                None => format!("serving precision: {}\n", self.state.precision().label()),
-                Some(spec) => match ds_camal::Precision::parse(spec) {
-                    Some(p) => {
-                        self.state.set_precision(p);
-                        format!(
-                            "serving precision set to {} (plans rebuild lazily per appliance)\n",
-                            p.label()
-                        )
-                    }
-                    None => format!("unknown precision {spec:?} (use f32 or int8)\n"),
-                },
-            },
             "backbone" => match arg1 {
                 None => format!("detector backbone: {}\n", self.state.backbone().label()),
                 Some(spec) => match ds_camal::Backbone::parse(spec) {
@@ -574,31 +560,12 @@ mod tests {
     }
 
     #[test]
-    fn precision_command_switches_serving_plans() {
+    fn precision_is_an_unknown_command() {
         let mut r = repl();
-        assert!(run(&mut r, "help").contains("precision [f32|int8]"));
-        assert!(run(&mut r, "precision").contains("serving precision: f32"));
-        assert!(run(&mut r, "precision fp16").contains("unknown precision"));
-        assert!(run(&mut r, "precision int8").contains("set to int8"));
-        assert!(run(&mut r, "precision").contains("int8"));
-        // The int8 plan serves the playground end to end.
-        let houses = run(&mut r, "houses ukdale");
-        let first: u32 = houses
-            .split(':')
-            .nth(1)
-            .unwrap()
-            .split(',')
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        run(&mut r, &format!("load UKDALE {first}"));
-        run(&mut r, "window 6h");
-        assert!(run(&mut r, "select kettle").contains("kettle selected"));
-        assert!(run(&mut r, "show").contains("Playground"));
-        assert!(run(&mut r, "precision f32").contains("set to f32"));
-        assert!(run(&mut r, "show").contains("Playground"));
+        assert!(!run(&mut r, "help").contains("precision"));
+        for line in ["precision", "precision f32"] {
+            assert!(run(&mut r, line).contains("unknown command"), "{line}");
+        }
     }
 
     #[test]

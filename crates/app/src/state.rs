@@ -4,8 +4,7 @@
 
 use crate::cache::{BoundedCache, CacheCounters};
 use ds_camal::{
-    Backbone, Camal, CamalConfig, CamalError, Detection, FrozenCamal, Localization, Precision,
-    StreamingCamal,
+    Backbone, Camal, CamalConfig, CamalError, Detection, FrozenCamal, Localization, StreamingCamal,
 };
 use ds_datasets::labels::Corpus;
 use ds_datasets::{ApplianceKind, Catalog, DatasetPreset};
@@ -24,25 +23,13 @@ type SeriesKey = (String, u32, &'static str, usize, usize);
 type WindowKey = (String, u32, &'static str, usize, usize, usize);
 
 /// Key of a streaming engine: `(dataset, house, appliance, window samples,
-/// push stride, backbone, precision)` — one live stream per browsing
-/// context.
-type StreamKey = (String, u32, &'static str, usize, usize, Backbone, Precision);
+/// push stride, backbone)` — one live stream per browsing context.
+type StreamKey = (String, u32, &'static str, usize, usize, Backbone);
 
 /// Key of a trained model: `(dataset, appliance, window samples,
 /// backbone)` — one trained ensemble per architecture, so comparing
 /// backbones never retrains the ones already built.
 type ModelKey = (String, &'static str, usize, Backbone);
-
-/// Key of a frozen serving plan: a [`ModelKey`] plus the numeric
-/// precision — the f32 and int8 plans of one model are distinct cache
-/// entries, so switching precision (or backbone) back and forth never
-/// re-folds or re-quantizes.
-type PlanKey = (String, &'static str, usize, Backbone, Precision);
-
-/// Held-out windows retained per trained model for int8 activation-scale
-/// calibration. A small set is enough to pin per-conv maxabs ranges; the
-/// flip-rate-vs-set-size study lives in EXPERIMENTS.md.
-const CALIBRATION_WINDOWS: usize = 32;
 
 /// Whole-series status predictions cached for the insights view. Small
 /// bound: each entry is one `u8` per sample of a loaded series.
@@ -175,25 +162,15 @@ impl From<CamalError> for AppError {
     }
 }
 
-/// A lazily trained CamAL model plus the held-out windows retained for
-/// int8 calibration — quantizing later must not rebuild the corpus.
-struct TrainedModel {
-    camal: Camal,
-    calib: Vec<Vec<f32>>,
-}
-
 /// The DeviceScope application state.
 pub struct AppState {
     config: AppConfig,
     catalog: Catalog,
-    models: BTreeMap<ModelKey, TrainedModel>,
-    frozen: BoundedCache<PlanKey, FrozenCamal>,
+    models: BTreeMap<ModelKey, Camal>,
+    frozen: BoundedCache<ModelKey, FrozenCamal>,
     streams: BoundedCache<StreamKey, StreamingCamal>,
     status_cache: BoundedCache<SeriesKey, StatusSeries>,
     window_cache: BoundedCache<WindowKey, Localization>,
-    /// Numeric precision new frozen plans are built at (`precision`
-    /// REPL command); per-plan cache entries are keyed on it.
-    precision: Precision,
     /// Detector architecture newly trained ensembles use (`backbone`
     /// REPL command); model/plan/stream cache entries are keyed on it.
     backbone: Backbone,
@@ -235,14 +212,8 @@ impl AppState {
             cursor: None,
             window_length: WindowLength::TwelveHours,
             selected: Vec::new(),
-            precision: Precision::default(),
             backbone: Backbone::default(),
         }
-    }
-
-    /// Numeric precision frozen plans are currently served at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Detector architecture the session currently trains and serves.
@@ -251,28 +222,12 @@ impl AppState {
     }
 
     /// Switch the detector architecture. Prediction caches and live
-    /// streams are invalidated exactly as in [`AppState::set_precision`] —
-    /// they hold outputs of the outgoing backbone — while trained models
-    /// and frozen plans survive under their backbone-tagged keys, so
-    /// flipping back is instant.
+    /// streams are invalidated — they hold outputs of the outgoing
+    /// backbone — while trained models and frozen plans survive under
+    /// their backbone-tagged keys, so flipping back is instant.
     pub fn set_backbone(&mut self, backbone: Backbone) {
         if backbone != self.backbone {
             self.backbone = backbone;
-            self.status_cache.clear();
-            self.window_cache.clear();
-            self.streams.clear();
-        }
-    }
-
-    /// Switch the serving precision. Whole-series and per-window caches
-    /// are invalidated, and live streaming engines are dropped — their
-    /// slabs hold artifacts of the outgoing precision's plan: int8 and
-    /// f32 agree on decisions by contract, but CAM values differ within
-    /// tolerance and a stale overlay must not outlive the switch. Trained
-    /// models and already-built plans (keyed per precision) survive.
-    pub fn set_precision(&mut self, precision: Precision) {
-        if precision != self.precision {
-            self.precision = precision;
             self.status_cache.clear();
             self.window_cache.clear();
             self.streams.clear();
@@ -410,15 +365,6 @@ impl AppState {
     /// The CamAL model for `(current dataset, kind)` at the current window
     /// length, training it on the dataset's *train* houses on first use.
     pub fn model(&mut self, kind: ApplianceKind) -> Result<&Camal, AppError> {
-        Ok(&self.trained(kind)?.camal)
-    }
-
-    /// The trained model with its retained calibration windows, training
-    /// on first use. Calibration windows are held-out test windows (train
-    /// windows as fallback so a test-house-free corpus still quantizes) —
-    /// the activation ranges must reflect the serving distribution, not
-    /// the balanced training set.
-    fn trained(&mut self, kind: ApplianceKind) -> Result<&TrainedModel, AppError> {
         let (preset, _) = self.loaded()?;
         let window_samples = self
             .window_length
@@ -433,35 +379,23 @@ impl AppState {
             let ds = self.catalog.get(preset);
             let mut corpus = Corpus::build(ds, kind, window_samples);
             corpus.balance_train(3);
-            let pool = if corpus.test.is_empty() {
-                &corpus.train
-            } else {
-                &corpus.test
-            };
-            let calib: Vec<Vec<f32>> = pool
-                .iter()
-                .take(CALIBRATION_WINDOWS)
-                .map(|w| w.values.clone())
-                .collect();
             // Train at the session backbone: every ensemble member uses the
             // selected architecture, so the model's lead backbone (and its
             // serving registry identity) matches the cache key.
             let mut camal_cfg = self.config.camal.clone();
             camal_cfg.backbones = vec![self.backbone];
             let camal = Camal::try_train(&corpus, &camal_cfg)?;
-            self.models
-                .insert(key.clone(), TrainedModel { camal, calib });
+            self.models.insert(key.clone(), camal);
         }
         Ok(self.models.get(&key).expect("inserted above"))
     }
 
     /// Export every *selected* appliance's trained model (training on
     /// first use) into a ds-serve [`ds_serve::ModelRegistry`], so the
-    /// REPL's `serve` command shares the session's models — and their
-    /// int8 calibration sets — with the HTTP front. Returns the
-    /// registered `(preset, appliance, window_samples, backbone)`
-    /// identities (the backbone is the session backbone the models were
-    /// trained at). Frozen plans are *not* exported: the server freezes
+    /// REPL's `serve` command shares the session's models with the HTTP
+    /// front. Returns the registered `(preset, appliance, window_samples,
+    /// backbone)` identities (the backbone is the session backbone the
+    /// models were trained at). Frozen plans are *not* exported: the server freezes
     /// per (plan key) on first request, exactly like the in-app cache.
     pub fn register_serving_models(
         &mut self,
@@ -476,14 +410,8 @@ impl AppState {
             let window_samples = self
                 .window_length
                 .samples(self.current_window()?.interval_secs());
-            let trained = self.trained(kind)?;
-            registry.register(
-                &preset_name,
-                kind.slug(),
-                window_samples,
-                trained.camal.clone(),
-                trained.calib.clone(),
-            );
+            let camal = self.model(kind)?.clone();
+            registry.register(&preset_name, kind.slug(), window_samples, camal, Vec::new());
             registered.push((
                 preset_name,
                 kind.slug().to_string(),
@@ -495,32 +423,24 @@ impl AppState {
     }
 
     /// The frozen serving plan for `(current dataset, kind)` at the current
-    /// window length and the session's [`AppState::precision`]: BN-folded,
-    /// ReLU-fused, arena-backed — int8-quantized on the retained
-    /// calibration windows when the precision is [`Precision::Int8`].
-    /// Built once per `(model, precision)` and then reused — Prev/Next
-    /// navigation never re-folds or re-quantizes, and the plan's warm
-    /// arenas make repeat predictions allocation-free.
+    /// window length and the session backbone: BN-folded, ReLU-fused,
+    /// arena-backed. Built once per model and then reused — Prev/Next
+    /// navigation never re-folds, and the plan's warm arenas make repeat
+    /// predictions allocation-free.
     pub fn frozen_model(&mut self, kind: ApplianceKind) -> Result<&mut FrozenCamal, AppError> {
         let (preset, _) = self.loaded()?;
         let window_samples = self
             .window_length
             .samples(self.current_window()?.interval_secs());
-        let precision = self.precision;
-        let key: PlanKey = (
+        let key: ModelKey = (
             preset.name().to_string(),
             kind.slug(),
             window_samples,
             self.backbone,
-            precision,
         );
         if self.frozen.get(&key).is_none() {
             ds_obs::counter_add(FROZEN_COUNTERS.misses, 1);
-            let trained = self.trained(kind)?;
-            let plan = match precision {
-                Precision::F32 => trained.camal.freeze(),
-                Precision::Int8 => trained.camal.freeze_quantized(&trained.calib),
-            };
+            let plan = self.model(kind)?.freeze();
             self.frozen.insert(key.clone(), plan);
         } else {
             ds_obs::counter_add(FROZEN_COUNTERS.hits, 1);
@@ -664,9 +584,8 @@ impl AppState {
 
     /// The live streaming engine for the loaded house and `kind` at
     /// `window_samples`, built on first use (cloning the cached frozen
-    /// plan at the session precision — never re-folding or retraining)
-    /// and fed the series suffix it has not seen yet as stride-sized
-    /// deltas and gap events.
+    /// plan — never re-folding or retraining) and fed the series suffix
+    /// it has not seen yet as stride-sized deltas and gap events.
     fn streaming_engine(
         &mut self,
         kind: ApplianceKind,
@@ -675,7 +594,6 @@ impl AppState {
     ) -> Result<&mut StreamingCamal, AppError> {
         let (preset, house_id) = self.loaded()?;
         let stride = stream_stride(window_samples);
-        let precision = self.precision;
         let key: StreamKey = (
             preset.name().to_string(),
             house_id,
@@ -683,13 +601,11 @@ impl AppState {
             window_samples,
             stride,
             self.backbone,
-            precision,
         );
         if self.streams.get(&key).is_none() {
             ds_obs::counter_add(STREAM_COUNTERS.misses, 1);
-            // Clone the plan out of the frozen cache: folding/quantization
-            // stays cached once per (model, precision), and the batch path
-            // keeps its own warm arenas.
+            // Clone the plan out of the frozen cache: folding stays cached
+            // once per model, and the batch path keeps its own warm arenas.
             let plan = self.frozen_model(kind)?.clone();
             let max_windows = series.len().div_ceil(window_samples).max(1);
             self.streams.insert(
@@ -935,43 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_switch_builds_separate_plans_and_preserves_decisions() {
-        let mut state = app();
-        let houses = state.browsable_houses(DatasetPreset::UkdaleLike);
-        state.load("UKDALE", houses[0]).unwrap();
-        state.set_window_length(WindowLength::SixHours).unwrap();
-        state.toggle_appliance("kettle").unwrap();
-        assert_eq!(state.precision(), Precision::F32);
-        let f32_out = state.localize_selected().unwrap();
-
-        state.set_precision(Precision::Int8);
-        // Prediction caches and live streams are invalidated, the trained
-        // model survives.
-        assert_eq!(state.window_cache.len(), 0);
-        assert_eq!(state.streams.len(), 0);
-        assert_eq!(state.models.len(), 1);
-        let int8_out = state.localize_selected().unwrap();
-        let plan = state.frozen_model(ApplianceKind::Kettle).unwrap();
-        assert_eq!(plan.precision(), Precision::Int8);
-        // The quantized contract: decisions match the f32 plan.
-        assert_eq!(f32_out[0].1.status, int8_out[0].1.status);
-
-        // Both plans stay cached under their own keys: switching back
-        // re-serves the f32 plan without re-folding or re-quantizing.
-        state.set_precision(Precision::F32);
-        assert_eq!(state.frozen.len(), 2);
-        let plan = state.frozen_model(ApplianceKind::Kettle).unwrap();
-        assert_eq!(plan.precision(), Precision::F32);
-        let back = state.localize_selected().unwrap();
-        assert_eq!(back[0].1, f32_out[0].1);
-
-        // Setting the current precision again is a no-op, not a flush.
-        let cached = state.window_cache.len();
-        state.set_precision(Precision::F32);
-        assert_eq!(state.window_cache.len(), cached);
-    }
-
-    #[test]
     fn backbone_switch_builds_separate_models_and_plans() {
         let mut state = app();
         let houses = state.browsable_houses(DatasetPreset::UkdaleLike);
@@ -980,6 +859,13 @@ mod tests {
         state.toggle_appliance("kettle").unwrap();
         assert_eq!(state.backbone(), Backbone::ResNet);
         let resnet_out = state.localize_selected().unwrap();
+        // The plan's member slab lives on the heap, so its address names
+        // this one frozen plan however the cache moves the plan itself.
+        let plan_id = |state: &mut AppState| {
+            let plan = state.frozen_model(ApplianceKind::Kettle).unwrap();
+            plan.ensemble().members().as_ptr()
+        };
+        let resnet_plan = plan_id(&mut state);
 
         state.set_backbone(Backbone::Inception);
         // Prediction caches and live streams are invalidated; the ResNet
@@ -997,9 +883,12 @@ mod tests {
             .all(|m| m.backbone() == Backbone::Inception));
         assert_eq!(state.frozen.len(), 2);
 
-        // Switching back re-serves the ResNet model without retraining and
-        // reproduces the original localization exactly.
+        // Switching back re-serves the cached ResNet plan (not re-folded)
+        // without retraining, and reproduces the original localization
+        // exactly.
         state.set_backbone(Backbone::ResNet);
+        assert_eq!(plan_id(&mut state), resnet_plan, "ResNet plan re-folded");
+        assert_eq!(state.frozen.len(), 2);
         let back = state.localize_selected().unwrap();
         assert_eq!(state.models.len(), 2);
         assert_eq!(back[0].1, resnet_out[0].1);

@@ -107,10 +107,6 @@ pub const GATES: &[Gate] = &[
     // 3.0× is the published serving-path claim; without SIMD the
     // fold/fuse/arena advantage alone must stay clear of parity.
     frozen("frozen_predict", 3.0, 1.15),
-    // Int8 trades speed for footprint and integer determinism: AVX2 lacks
-    // VNNI-class dot throughput, and scalar i32 MACs have no edge over
-    // scalar f32 FMA while still re-quantizing per conv (~0.32×).
-    frozen("quantized_predict", 1.5, 0.2),
     frozen("frozen_localize", 3.0, 1.10),
     // Non-ResNet backbones: the frozen win is folding and arena reuse,
     // not a vectorized conv stack, and TransApp's is thin (attention

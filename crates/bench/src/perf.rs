@@ -15,7 +15,7 @@
 //! host-load drift hits both equally; the speedup is the median of the
 //! per-round ratios, and each throughput number projects the path's
 //! fastest round (external noise only ever adds time, so the minimum is
-//! the estimator closest to intrinsic cost). See [`sample_paths`].
+//! the estimator closest to intrinsic cost). See `sample_paths`.
 //!
 //! Contracts enforced on every run:
 //! - ds-par cases compare outputs **bit for bit** — parallelism never
@@ -130,8 +130,8 @@ pub struct PerfReport {
     pub smoke: bool,
     /// SIMD dispatch decision the run was measured under
     /// ([`simd::label`]): `"avx2"` on vectorized hosts, `"scalar"`
-    /// otherwise. The regression sentinel keys its absolute frozen and
-    /// quantized speedup floors on this, so a scalar host (or a
+    /// otherwise. The regression sentinel keys its absolute frozen
+    /// speedup floors on this, so a scalar host (or a
     /// `DS_SIMD=off` twin run) is judged against the scalar contract
     /// instead of the vectorized one. Reports written before the field
     /// existed deserialize as the empty string, which the sentinel
@@ -161,7 +161,7 @@ pub struct PerfScale {
     /// Samples per window.
     pub window: usize,
     /// Iterations per path: the sampled cases time
-    /// [`ROUNDS_PER_ITER`] rounds per iteration.
+    /// `ROUNDS_PER_ITER` rounds per iteration.
     pub iters: usize,
 }
 
@@ -683,70 +683,6 @@ fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
     )
 }
 
-/// Held-out calibration windows for the quantized plan: same generator
-/// family (and therefore the same value range) as [`serving_windows`],
-/// phase-shifted so no calibration window equals a serving window.
-fn calibration_windows(scale: PerfScale) -> Vec<Vec<f32>> {
-    (0..scale.batch)
-        .map(|w| {
-            (0..scale.window)
-                .map(|i| {
-                    ((w * 13 + 7 * 13 + i) % 29) as f32 * 55.0
-                        + (i as f32 * 0.11 + 1.0).sin() * 20.0
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Int8-quantized frozen ensemble prediction against the mutable
-/// reference path. Calibrated on a held-out window set
-/// ([`calibration_windows`]); the contract is weaker on probabilities
-/// (int8 carries real quantization noise) but just as strict on
-/// decisions: zero flips in a published report.
-fn quantized_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
-    let ensemble = model.ensemble();
-    let windows = serving_windows(scale);
-    let x = Tensor::from_windows(&windows);
-    let calib = Tensor::from_windows(&calibration_windows(scale));
-    let mut quant = ensemble.freeze_quantized(&calib);
-    let reference = ensemble.predict(&x);
-    let ref_probs = ResNetEnsemble::ensemble_probability(&reference);
-    quant.predict_into(&x);
-    let mut flips = 0u64;
-    let mut max_abs = 0.0f32;
-    for (r, f) in ref_probs.iter().zip(quant.ensemble_probs()) {
-        max_abs = max_abs.max((r - f).abs());
-        if (*r > 0.5) != (*f > 0.5) {
-            flips += 1;
-        }
-    }
-    assert!(
-        max_abs <= 0.05,
-        "quantized predict: probabilities drifted by {max_abs}"
-    );
-    assert_zero_alloc(|| quant.predict_into(&x), "quantized predict");
-    let timing = sample_paths(
-        scale.iters,
-        scale.batch as u64,
-        || {
-            ensemble.predict(&x);
-        },
-        || {
-            quant.predict_into(&x);
-        },
-    );
-    let elements = (scale.batch * scale.window * ensemble.len()) as u64;
-    build_case(
-        "quantized_predict",
-        elements,
-        scale.iters,
-        flips == 0,
-        flips,
-        timing,
-    )
-}
-
 /// Frozen end-to-end localization (steps 1–6 through the reused
 /// [`ds_camal::LocalizationBatch`] slabs) against the mutable batched
 /// reference path.
@@ -1101,7 +1037,6 @@ fn run_cases(scale: PerfScale, model: &Camal, zoo: &[(&str, &Camal)]) -> Vec<Per
         e2e_localize_case(scale),
         train_epoch_case(scale),
         frozen_predict_case(scale, model),
-        quantized_predict_case(scale, model),
         frozen_localize_case(scale, model),
     ];
     // The backbone zoo: the same frozen-vs-mutable localization contract,

@@ -436,50 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_floor_is_separate_from_frozen_floor() {
-        // 2.0× clears the int8 floor under AVX2 but would fail the f32
-        // frozen floor — the precision split is the point.
-        let base = synthetic_report(
-            "avx2",
-            vec![
-                synthetic_case("frozen_predict", 5.5),
-                synthetic_case("quantized_predict", 2.4),
-                synthetic_case("streaming_predict", 8.0),
-                synthetic_serve_case(0.9, 6.0),
-            ],
-        );
-        let good = synthetic_report(
-            "avx2",
-            vec![
-                synthetic_case("frozen_predict", 5.0),
-                synthetic_case("quantized_predict", 2.0),
-                synthetic_case("streaming_predict", 7.0),
-                synthetic_serve_case(0.8, 8.0),
-            ],
-        );
-        let verdict = judge(&base, &good);
-        assert!(verdict.pass, "{}", render(&verdict));
-
-        // A quantized collapse below its own floor fails even though the
-        // same number would be unreachable luxury for a flat case.
-        let collapsed = synthetic_report(
-            "avx2",
-            vec![
-                synthetic_case("frozen_predict", 5.0),
-                synthetic_case("quantized_predict", 1.2),
-                synthetic_case("streaming_predict", 7.0),
-                synthetic_serve_case(0.8, 8.0),
-            ],
-        );
-        let verdict = judge(&base, &collapsed);
-        assert!(!verdict.pass);
-        assert!(verdict
-            .checks
-            .iter()
-            .any(|c| !c.pass && c.case == "quantized_predict" && c.check == "speedup floor"));
-    }
-
-    #[test]
     fn scalar_twin_is_judged_on_scalar_floors_only() {
         // A DS_SIMD=off twin run against a vectorized baseline: absolute
         // scalar floors apply, relative ratios are skipped (a 1.2× scalar
@@ -489,7 +445,6 @@ mod tests {
             vec![
                 synthetic_case("frozen_predict", 5.5),
                 synthetic_case("frozen_conv", 5.3),
-                synthetic_case("quantized_predict", 2.4),
                 synthetic_case("streaming_predict", 8.0),
                 synthetic_case("conv_forward", 1.1),
                 synthetic_serve_case(0.9, 6.0),
@@ -497,14 +452,12 @@ mod tests {
         );
         // frozen_conv at 1.0×: twin-vs-twin is parity by construction
         // under scalar dispatch, so the 1.15× frozen floor must not
-        // apply to it; quantized at 0.32× matches the measured scalar
-        // int8 cost and must clear its own floor.
+        // apply to it.
         let twin = synthetic_report(
             "scalar",
             vec![
                 synthetic_case("frozen_predict", 1.2),
                 synthetic_case("frozen_conv", 1.0),
-                synthetic_case("quantized_predict", 0.32),
                 synthetic_case("streaming_predict", 5.8),
                 synthetic_case("conv_forward", 0.5),
                 // Serve has no SIMD split and the relative floor is

@@ -11,7 +11,7 @@ use ds_neural::{Backbone, DetectorNet, FrozenDetector, ResNet};
 
 /// The lifecycle surface of one ensemble member, independent of its
 /// architecture: train on weak labels, predict probability + class-1 CAM,
-/// and compile into the frozen / int8 serving plans. The ensemble drives
+/// and compile into the frozen serving plan. The ensemble drives
 /// its members exclusively through this trait, which is what lets
 /// ResNet, Inception and TransApp members coexist in one model.
 ///
@@ -37,13 +37,8 @@ pub trait Detector {
     /// `[B, 1, L]` batch (pure — shareable at prediction time).
     fn infer_with_cam(&self, x: &Tensor) -> (Vec<f32>, Vec<Vec<f32>>);
 
-    /// Compile into the frozen f32 serving plan.
+    /// Compile into the frozen serving plan.
     fn freeze(&self) -> FrozenDetector;
-
-    /// Compile into the int8 serving plan, calibrating on `calib`.
-    fn freeze_quantized(&self, calib: &Tensor) -> FrozenDetector {
-        self.freeze().quantize(calib)
-    }
 }
 
 impl Detector for DetectorNet {

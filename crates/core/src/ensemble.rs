@@ -5,9 +5,9 @@
 //!
 //! Since the backbone-zoo change the ensemble is architecture-agnostic:
 //! members are [`DetectorNet`]s driven exclusively through the
-//! [`Detector`](crate::detector::Detector) trait, so ResNet, Inception and
-//! TransApp members mix freely in one model (the `backbones` list in
-//! [`CamalConfig`] cycles over members). [`ResNetEnsemble`] remains as an
+//! [`Detector`] trait, so ResNet, Inception and TransApp members mix
+//! freely in one model (the `backbones` list in [`CamalConfig`] cycles
+//! over members). [`ResNetEnsemble`] remains as an
 //! alias for the paper's all-ResNet default.
 
 use crate::config::CamalConfig;
@@ -17,34 +17,13 @@ use ds_neural::train::TrainReport;
 use ds_neural::{Backbone, DetectorNet, FrozenDetector, InferenceArena};
 use serde::{Deserialize, Serialize};
 
-/// Numeric precision of a frozen serving plan.
+/// Numeric precision of a frozen serving plan: f32 is the only one. Kept
+/// only so `perfbench/` compiles unchanged; the next benchmark PR removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Precision {
-    /// BN-folded f32 plan (the PR4 serving form).
+    /// The BN-folded f32 plan.
     #[default]
     F32,
-    /// Int8 symmetric-quantized plan with calibrated activation scales.
-    Int8,
-}
-
-impl Precision {
-    /// Stable label, used in cache keys, reports and the REPL.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Int8 => "int8",
-        }
-    }
-
-    /// Parse a REPL/CLI spelling of a precision (the [`Precision::label`]
-    /// strings, case-insensitive).
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s.to_ascii_lowercase().as_str() {
-            "f32" => Some(Precision::F32),
-            "int8" => Some(Precision::Int8),
-            _ => None,
-        }
-    }
 }
 
 /// An ensemble of independently trained detectors, possibly of mixed
@@ -224,27 +203,6 @@ impl DetectorEnsemble {
         }
     }
 
-    /// Compile every member into an **int8** frozen plan: freeze (BN
-    /// folding as in [`DetectorEnsemble::freeze`]), then quantize with
-    /// activation scales calibrated per member on `calib` — a batch of
-    /// held-out windows pre-processed exactly like serving inputs
-    /// (z-normalized). The f32 frozen plan stays available; decision
-    /// parity between the two is gated by the golden tests.
-    pub fn freeze_quantized(&self, calib: &Tensor) -> FrozenEnsemble {
-        FrozenEnsemble {
-            members: self
-                .members
-                .iter()
-                .map(|m| FrozenMember {
-                    plan: Detector::freeze_quantized(m, calib),
-                    arena: InferenceArena::new(),
-                })
-                .collect(),
-            ens_probs: Vec::new(),
-            batch: 0,
-        }
-    }
-
     /// Ensemble probability per window: `Prob_ens = (1/N) Σ Prob_n`.
     pub fn ensemble_probability(outputs: &[MemberOutput]) -> Vec<f32> {
         assert!(!outputs.is_empty(), "no member outputs");
@@ -302,9 +260,8 @@ impl FrozenMember {
 }
 
 /// The serving form of a [`DetectorEnsemble`]: every member compiled to a
-/// [`FrozenDetector`] (at f32 or int8), plus reused
-/// output buffers. Built once per trained ensemble via
-/// [`DetectorEnsemble::freeze`].
+/// [`FrozenDetector`], plus reused output buffers. Built once per
+/// trained ensemble via [`DetectorEnsemble::freeze`].
 ///
 /// Prediction is `&mut self` (it writes the member arenas), sequential
 /// over members, and — after the first call per window shape — performs
@@ -325,15 +282,6 @@ impl FrozenEnsemble {
     /// Member count `N`.
     pub fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Numeric precision of the member plans.
-    pub fn precision(&self) -> Precision {
-        if self.members.iter().any(|m| m.plan.is_int8()) {
-            Precision::Int8
-        } else {
-            Precision::F32
-        }
     }
 
     /// Whether the ensemble has no members (never true for a built one).
@@ -592,17 +540,9 @@ mod tests {
             assert!((f - r).abs() < 1e-4, "window {i}: frozen {f} vs {r}");
             assert_eq!(f > 0.5, r > 0.5, "decision flip at window {i}");
         }
-        // Int8 plans of every backbone serve through the same arenas.
-        let mut quant = ens.freeze_quantized(&x);
-        assert_eq!(quant.precision(), Precision::Int8);
-        quant.predict_into(&x);
-        for (&q, &r) in quant.ensemble_probs().iter().zip(&probs) {
-            assert!((q - r).abs() < 0.05, "int8 drifted: {q} vs {r}");
-        }
         let before = ds_obs::alloc_count();
         for _ in 0..3 {
             frozen.predict_into(&x);
-            quant.predict_into(&x);
         }
         assert_eq!(
             ds_obs::alloc_count(),

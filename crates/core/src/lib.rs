@@ -271,26 +271,6 @@ impl Camal {
     pub fn freeze(&self) -> FrozenCamal {
         FrozenCamal::new(self.ensemble.freeze(), self.config.clone())
     }
-
-    /// Compile the trained model into an **int8-quantized** frozen serving
-    /// form. `calib` is a held-out set of raw windows (training windows
-    /// work well); they are z-normalized here exactly as serving inputs
-    /// are, then replayed through the f32 frozen plan to calibrate each
-    /// conv's activation scale. Decision parity with the f32 plan on the
-    /// calibration corpus is gated by the golden tests and CI.
-    pub fn freeze_quantized(&self, calib: &[Vec<f32>]) -> FrozenCamal {
-        assert!(!calib.is_empty(), "quantization needs calibration windows");
-        let len = calib[0].len();
-        let normalized: Vec<Vec<f32>> = calib
-            .iter()
-            .map(|w| {
-                assert_eq!(w.len(), len, "calibration windows must share one length");
-                z_normalize_window(w)
-            })
-            .collect();
-        let x = Tensor::from_windows(&normalized);
-        FrozenCamal::new(self.ensemble.freeze_quantized(&x), self.config.clone())
-    }
 }
 
 /// The frozen serving form of a [`Camal`] model.
@@ -324,11 +304,6 @@ pub struct FrozenCamal {
 }
 
 impl FrozenCamal {
-    /// Numeric precision of the underlying member plans.
-    pub fn precision(&self) -> Precision {
-        self.ensemble.precision()
-    }
-
     /// Assemble from a frozen ensemble and the model's config.
     pub fn new(ensemble: FrozenEnsemble, config: CamalConfig) -> FrozenCamal {
         let kernels = ensemble.members().iter().map(|m| m.kernel()).collect();

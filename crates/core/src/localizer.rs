@@ -261,7 +261,7 @@ pub(crate) fn attention_and_status_into(
 /// detection flag, averaged CAM, attention signal, status mask, per-member
 /// probabilities — into row-major slabs owned by this struct, so a warm
 /// [`LocalizationBatch`] makes repeated batched localization allocation-free.
-/// Buffers only ever grow ([`LocalizationBatch::ensure`]); per-window views
+/// Buffers only ever grow (`LocalizationBatch::ensure`); per-window views
 /// come back as slices into the slabs, and [`LocalizationBatch::to_localization`]
 /// materializes the classic owned [`Localization`] when a caller wants one.
 #[derive(Debug, Default, Clone)]
@@ -287,7 +287,7 @@ pub struct LocalizationBatch {
 }
 
 impl LocalizationBatch {
-    /// An empty batch; buffers are sized lazily by [`LocalizationBatch::ensure`].
+    /// An empty batch; buffers are sized lazily by `LocalizationBatch::ensure`.
     pub fn new() -> Self {
         Self::default()
     }

@@ -106,13 +106,13 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
         1 => {
             let ckpt: CamalCheckpointV1 =
                 serde_json::from_value(&value).map_err(|e| CamalIoError::Format(e.to_string()))?;
-            require_members(ckpt.ensemble.members.len())?;
-            let members = ckpt
+            let members: Vec<DetectorNet> = ckpt
                 .ensemble
                 .members
                 .into_iter()
                 .map(DetectorNet::ResNet)
                 .collect();
+            require_valid_members(&members)?;
             Ok(Camal::from_parts(
                 DetectorEnsemble::from_members(members),
                 ckpt.config,
@@ -121,7 +121,7 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
         2 => {
             let ckpt: CamalCheckpoint =
                 serde_json::from_value(&value).map_err(|e| CamalIoError::Format(e.to_string()))?;
-            require_members(ckpt.ensemble.len())?;
+            require_valid_members(ckpt.ensemble.members())?;
             Ok(Camal::from_parts(ckpt.ensemble, ckpt.config))
         }
         other => Err(CamalIoError::Version {
@@ -131,12 +131,20 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
 }
 
 /// A model with no members cannot predict (every inference path averages
-/// over members), so an empty ensemble is a malformed checkpoint.
-fn require_members(count: usize) -> Result<(), CamalIoError> {
-    if count == 0 {
+/// over members), so an empty ensemble is a malformed checkpoint. So is
+/// any member whose layer shapes do not chain or whose parameters are not
+/// finite: it would load, then panic (or emit NaN) on its first window.
+/// Members see univariate windows, hence one input channel.
+fn require_valid_members(members: &[DetectorNet]) -> Result<(), CamalIoError> {
+    if members.is_empty() {
         return Err(CamalIoError::Format(
             "checkpoint ensemble has no members".into(),
         ));
+    }
+    for (i, member) in members.iter().enumerate() {
+        member
+            .validate(1)
+            .map_err(|e| CamalIoError::Format(format!("member {i}: {e}")))?;
     }
     Ok(())
 }
@@ -309,6 +317,116 @@ mod tests {
                 Err(CamalIoError::Format(msg)) => assert!(msg.contains("no members"), "{msg}"),
                 Err(other) => panic!("empty ensemble: wrong error {other}"),
                 Ok(_) => panic!("empty ensemble loaded: {json}"),
+            }
+        }
+    }
+
+    /// Depth-first search for the first object under `v` that `pred`
+    /// accepts (keys in map order, so the pick is deterministic).
+    fn find<'a>(
+        v: &'a mut serde_json::Value,
+        pred: &dyn Fn(&serde_json::Map) -> bool,
+    ) -> Option<&'a mut serde_json::Map> {
+        match v {
+            serde_json::Value::Object(m) => {
+                if pred(m) {
+                    return Some(m);
+                }
+                m.values_mut().find_map(|c| find(c, pred))
+            }
+            serde_json::Value::Array(a) => a.iter_mut().find_map(|c| find(c, pred)),
+            _ => None,
+        }
+    }
+
+    fn array<'a>(m: &'a mut serde_json::Map, key: &str) -> &'a mut Vec<serde_json::Value> {
+        match m.get_mut(key) {
+            Some(serde_json::Value::Array(a)) => a,
+            other => panic!("{key} is not an array: {other:?}"),
+        }
+    }
+
+    fn bump(m: &mut serde_json::Map, key: &str, by: u64) {
+        let n = m[key].as_u64().expect("integer field");
+        m.insert(key.to_string(), serde_json::Value::from(n + by));
+    }
+
+    fn has(m: &serde_json::Map, keys: &[&str]) -> bool {
+        keys.iter().all(|k| m.contains_key(*k))
+    }
+
+    /// A stand-in value the JSON text then swaps for a literal that
+    /// parses to infinity (the writer itself never emits one).
+    const NON_FINITE_MARK: f64 = 123456.5;
+
+    #[test]
+    fn malformed_members_are_rejected_at_load() {
+        type Mutation = fn(&mut serde_json::Value);
+        let mutations: [(&str, Mutation); 5] = [
+            ("truncated conv weight", |v| {
+                array(
+                    find(v, &|m| has(m, &["kernel", "weight"])).unwrap(),
+                    "weight",
+                )
+                .remove(0);
+            }),
+            ("short BN vector", |v| {
+                array(
+                    find(v, &|m| has(m, &["running_var"])).unwrap(),
+                    "running_var",
+                )
+                .pop();
+            }),
+            ("non-finite conv bias", |v| {
+                array(find(v, &|m| has(m, &["kernel", "bias"])).unwrap(), "bias")[0] =
+                    serde_json::Value::from(NON_FINITE_MARK);
+            }),
+            ("head dims", |v| {
+                bump(
+                    find(v, &|m| has(m, &["in_features"])).unwrap(),
+                    "out_features",
+                    1,
+                );
+            }),
+            ("broken channel chain", |v| {
+                let cfg = find(v, &|m| has(m, &["seed", "num_classes"])).unwrap();
+                if cfg.contains_key("d_model") {
+                    bump(cfg, "d_model", 1);
+                } else {
+                    let first = array(cfg, "channels")[0].as_u64().unwrap();
+                    array(cfg, "channels")[0] = serde_json::Value::from(first + 4);
+                }
+            }),
+        ];
+        let mut checkpoints: Vec<(String, String)> =
+            vec![("v1".into(), v1_json(&untrained_model()))];
+        for b in Backbone::ALL {
+            let cfg = CamalConfig {
+                backbones: vec![b],
+                ..CamalConfig::fast_test()
+            };
+            let model = Camal::from_parts(DetectorEnsemble::untrained(&cfg), cfg);
+            checkpoints.push((format!("v2 {b}"), to_json(&model)));
+        }
+        for (label, json) in &checkpoints {
+            assert!(
+                from_json(json).is_ok(),
+                "{label}: pristine checkpoint must load"
+            );
+            for (name, mutate) in &mutations {
+                let mut value = serde_json::parse_value_complete(json).unwrap();
+                let members = value.as_object_mut().unwrap().get_mut("ensemble").unwrap();
+                mutate(members);
+                let text = value
+                    .to_string()
+                    .replace(&NON_FINITE_MARK.to_string(), "1e999");
+                match from_json(&text) {
+                    Err(CamalIoError::Format(msg)) => {
+                        assert!(msg.starts_with("member 0:"), "{label} {name}: {msg}")
+                    }
+                    Err(other) => panic!("{label} {name}: wrong error {other}"),
+                    Ok(_) => panic!("{label} {name}: malformed checkpoint loaded"),
+                }
             }
         }
     }

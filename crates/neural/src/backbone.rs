@@ -15,9 +15,9 @@
 //! - [`DetectorNet`]: a trainable member of any backbone. Its externally
 //!   tagged serde form (`{"ResNet": {...}}`) doubles as the per-member
 //!   backbone tag of v2 checkpoints.
-//! - [`FrozenDetector`]: the compiled serving form at f32 or int8, all
+//! - [`FrozenDetector`]: the compiled serving form, all
 //!   honoring the frozen-plan contract (probs within 1e-4 of the mutable
-//!   path at f32, CAMs within 1e-3, zero decision flips, zero
+//!   path, CAMs within 1e-3, zero decision flips, zero
 //!   steady-state allocations against a warm [`InferenceArena`]).
 //!
 //! ds-core's `Detector` trait is implemented over these enums; the
@@ -180,19 +180,25 @@ impl DetectorNet {
         }
     }
 
-    /// Compile into the frozen f32 serving form.
+    /// Structural validation of a deserialized member (see the
+    /// `check` module) that is fed `in_channels`-channel windows.
+    pub fn validate(&self, in_channels: usize) -> Result<(), String> {
+        let (found, checked) = match self {
+            DetectorNet::ResNet(n) => (n.config().in_channels, n.validate()),
+            DetectorNet::Inception(n) => (n.config().in_channels, n.validate()),
+            DetectorNet::TransApp(n) => (n.config().in_channels, n.validate()),
+        };
+        crate::check::dim("member", "input channels", found, in_channels)?;
+        checked
+    }
+
+    /// Compile into the frozen serving form.
     pub fn freeze(&self) -> FrozenDetector {
         match self {
             DetectorNet::ResNet(n) => FrozenDetector::ResNet(FrozenResNet::freeze(n)),
             DetectorNet::Inception(n) => FrozenDetector::Inception(FrozenInception::freeze(n)),
             DetectorNet::TransApp(n) => FrozenDetector::TransApp(FrozenTransApp::freeze(n)),
         }
-    }
-
-    /// Compile into the int8 serving form, calibrating activation scales
-    /// on `calib`.
-    pub fn freeze_quantized(&self, calib: &Tensor) -> FrozenDetector {
-        self.freeze().quantize(calib)
     }
 }
 
@@ -232,8 +238,7 @@ impl NeuralNet for DetectorNet {
     }
 }
 
-/// A frozen serving plan of any backbone, at f32 or (after
-/// [`FrozenDetector::quantize`]) int8.
+/// A frozen serving plan of any backbone.
 #[derive(Debug, Clone)]
 pub enum FrozenDetector {
     /// See [`Backbone::ResNet`].
@@ -251,25 +256,6 @@ impl FrozenDetector {
             FrozenDetector::ResNet(_) => Backbone::ResNet,
             FrozenDetector::Inception(_) => Backbone::Inception,
             FrozenDetector::TransApp(_) => Backbone::TransApp,
-        }
-    }
-
-    /// Quantize this f32 plan into an int8 plan of the same backbone,
-    /// calibrating activation scales on `calib`.
-    pub fn quantize(&self, calib: &Tensor) -> FrozenDetector {
-        match self {
-            FrozenDetector::ResNet(p) => FrozenDetector::ResNet(p.quantize(calib)),
-            FrozenDetector::Inception(p) => FrozenDetector::Inception(p.quantize(calib)),
-            FrozenDetector::TransApp(p) => FrozenDetector::TransApp(p.quantize(calib)),
-        }
-    }
-
-    /// Whether this plan runs the int8 convs.
-    pub fn is_int8(&self) -> bool {
-        match self {
-            FrozenDetector::ResNet(p) => p.is_int8(),
-            FrozenDetector::Inception(p) => p.is_int8(),
-            FrozenDetector::TransApp(p) => p.is_int8(),
         }
     }
 
@@ -368,9 +354,6 @@ mod tests {
             }
             let frozen = net.freeze();
             assert_eq!(frozen.backbone(), b);
-            let quant = net.freeze_quantized(&x);
-            assert_eq!(quant.backbone(), b);
-            assert!(!frozen.is_int8() && quant.is_int8(), "{b}");
             let (probs, _) = net.infer_with_cam(&x);
             let mut arena = InferenceArena::new();
             frozen.predict_into(&x, &mut arena);
@@ -378,13 +361,7 @@ mod tests {
                 assert!((arena.probs()[bi] - p).abs() < 1e-4, "{b}");
                 assert_eq!(arena.probs()[bi] > 0.5, p > 0.5, "{b} flip");
             }
-            let mut qarena = InferenceArena::new();
-            quant.predict_into(&x, &mut qarena);
-            for (bi, &p) in probs.iter().enumerate().take(3) {
-                assert!((qarena.probs()[bi] - p).abs() < 0.05, "{b} int8");
-            }
             assert!(!frozen.param_bits().is_empty());
-            assert!(!quant.param_bits().is_empty());
         }
     }
 

@@ -14,7 +14,7 @@
 //! 2. **Fused ReLU epilogue.** Where the reference path materializes a
 //!    post-BN tensor and then clamps it, the frozen conv clamps in the
 //!    output-write loop of the register-blocked kernel
-//!    ([`crate::conv::accumulate_conv4`]'s const-dispatched `relu` flag),
+//!    (`conv::accumulate_conv4`'s const-dispatched `relu` flag),
 //!    deleting the activation passes as well.
 //! 3. **Arena execution.** [`FrozenResNet::predict_into`] runs entirely
 //!    inside an [`InferenceArena`]: activations ping-pong through three
@@ -27,18 +27,12 @@
 //! `frozen_plan` golden tests and the perf harness — is *tolerance plus
 //! decision identity*: logits within `1e-4` max-abs, and exactly the same
 //! detections (`prob > 0.5`) and localization masks.
-//!
-//! One plan type serves both precisions: every conv is a `PlanConv`,
-//! and [`FrozenResNet::quantize`] swaps each for its calibrated int8
-//! [`QuantConv`] (see [`crate::quant`]). The Inception and TransApp plans
-//! follow the same pattern.
 
 use crate::batchnorm::BatchNorm1d;
 use crate::conv::{accumulate_conv, accumulate_conv4t2, Conv1d};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
-use crate::quant::QuantConv;
 use crate::resblock::ResidualBlock;
 use crate::resnet::ResNet;
 use crate::tensor::Tensor;
@@ -232,73 +226,14 @@ impl FrozenConv {
     }
 }
 
-/// One conv of a frozen plan at either precision — every backbone's plan
-/// holds its convs as `PlanConv`s, so one plan type serves f32 and int8.
-#[derive(Debug, Clone)]
-pub(crate) enum PlanConv {
-    F32(FrozenConv),
-    Int8(QuantConv),
-}
-
-impl PlanConv {
-    pub(crate) fn infer_into(
-        &self,
-        x: &[f32],
-        batch: usize,
-        l: usize,
-        y: &mut [f32],
-        relu: bool,
-        qbuf: &mut [i8],
-    ) {
-        match self {
-            PlanConv::F32(c) => c.infer_into(x, batch, l, y, relu),
-            PlanConv::Int8(c) => c.infer_into(x, batch, l, y, relu, qbuf),
-        }
-    }
-
-    pub(crate) fn quantize(&self, input_maxabs: f32) -> PlanConv {
-        match self {
-            PlanConv::F32(c) => PlanConv::Int8(QuantConv::quantize(c, input_maxabs)),
-            PlanConv::Int8(_) => panic!("plan is already quantized"),
-        }
-    }
-
-    pub(crate) fn push_bits(&self, bits: &mut Vec<u32>) {
-        match self {
-            PlanConv::F32(c) => c.push_bits(bits),
-            PlanConv::Int8(c) => c.push_bits(bits),
-        }
-    }
-
-    pub(crate) fn is_int8(&self) -> bool {
-        matches!(self, PlanConv::Int8(_))
-    }
-}
-
-/// Largest absolute value in `s` (calibration ranges).
-pub(crate) fn maxabs(s: &[f32]) -> f32 {
-    s.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-}
-
-/// Calibration record of one residual block: max-abs of the block input
-/// (feeds stage1 and the projection shortcut) and of the two mid-stage
-/// activations.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockRanges {
-    input: f32,
-    mid1: f32,
-    mid2: f32,
-}
-
 /// A residual block compiled to three folded convolutions plus an
-/// optional folded projection shortcut, at either precision.
+/// optional folded projection shortcut.
 #[derive(Debug, Clone)]
 struct FrozenBlock {
-    stage1: PlanConv,
-    stage2: PlanConv,
-    stage3: PlanConv,
-    shortcut: Option<PlanConv>,
-    in_channels: usize,
+    stage1: FrozenConv,
+    stage2: FrozenConv,
+    stage3: FrozenConv,
+    shortcut: Option<FrozenConv>,
     out_channels: usize,
 }
 
@@ -306,56 +241,30 @@ impl FrozenBlock {
     fn freeze(block: &ResidualBlock) -> FrozenBlock {
         let fold = |i: usize| {
             let (conv, bn) = block.stage_parts(i);
-            PlanConv::F32(FrozenConv::fold(conv, bn))
+            FrozenConv::fold(conv, bn)
         };
         FrozenBlock {
             stage1: fold(0),
             stage2: fold(1),
             stage3: fold(2),
-            shortcut: block
-                .shortcut_parts()
-                .map(|(c, b)| PlanConv::F32(FrozenConv::fold(c, b))),
-            in_channels: block.in_channels,
+            shortcut: block.shortcut_parts().map(|(c, b)| FrozenConv::fold(c, b)),
             out_channels: block.out_channels,
         }
     }
 
     /// Run the block: read from `x`, leave the result in `out`, clobber
-    /// `tmp` (and `qbuf` at int8). The dataflow mirrors
-    /// [`ResidualBlock::infer`] with every BN/ReLU pass fused away:
-    /// `out ← relu(st1(x))`, `tmp ← relu(st2(out))`, `out ← st3(tmp)`,
-    /// then `out ← relu(out + shortcut(x)|x)` — the shortcut add stays f32
-    /// at either precision. `ranges` records activation max-abs when
-    /// calibrating.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_into(
-        &self,
-        x: &[f32],
-        out: &mut [f32],
-        tmp: &mut [f32],
-        qbuf: &mut [i8],
-        batch: usize,
-        l: usize,
-        mut ranges: Option<&mut BlockRanges>,
-    ) {
+    /// `tmp`. The dataflow mirrors [`ResidualBlock::infer`] with every
+    /// BN/ReLU pass fused away: `out ← relu(st1(x))`,
+    /// `tmp ← relu(st2(out))`, `out ← st3(tmp)`, then
+    /// `out ← relu(out + shortcut(x)|x)`.
+    fn infer_into(&self, x: &[f32], out: &mut [f32], tmp: &mut [f32], batch: usize, l: usize) {
         let n_out = batch * self.out_channels * l;
-        if let Some(r) = ranges.as_deref_mut() {
-            r.input = r.input.max(maxabs(&x[..batch * self.in_channels * l]));
-        }
-        self.stage1.infer_into(x, batch, l, out, true, qbuf);
-        if let Some(r) = ranges.as_deref_mut() {
-            r.mid1 = r.mid1.max(maxabs(&out[..n_out]));
-        }
-        self.stage2
-            .infer_into(&out[..n_out], batch, l, tmp, true, qbuf);
-        if let Some(r) = ranges {
-            r.mid2 = r.mid2.max(maxabs(&tmp[..n_out]));
-        }
-        self.stage3
-            .infer_into(&tmp[..n_out], batch, l, out, false, qbuf);
+        self.stage1.infer_into(x, batch, l, out, true);
+        self.stage2.infer_into(&out[..n_out], batch, l, tmp, true);
+        self.stage3.infer_into(&tmp[..n_out], batch, l, out, false);
         match &self.shortcut {
             Some(sc) => {
-                sc.infer_into(x, batch, l, tmp, false, qbuf);
+                sc.infer_into(x, batch, l, tmp, false);
                 for (o, &r) in out[..n_out].iter_mut().zip(&tmp[..n_out]) {
                     *o = (*o + r).max(0.0);
                 }
@@ -379,10 +288,9 @@ impl FrozenBlock {
 }
 
 /// An immutable, BN-folded, fused, arena-driven compilation of a trained
-/// [`ResNet`], at either precision. Build one with
-/// [`FrozenResNet::freeze`] (or `ResNet`-holding wrappers' `freeze()`
-/// methods) after training, and an int8 one from it with
-/// [`FrozenResNet::quantize`]; it shares no state with the source network.
+/// [`ResNet`]. Build one with [`FrozenResNet::freeze`] (or
+/// `ResNet`-holding wrappers' `freeze()` methods) after training; it
+/// shares no state with the source network.
 #[derive(Debug, Clone)]
 pub struct FrozenResNet {
     blocks: Vec<FrozenBlock>,
@@ -427,40 +335,6 @@ impl FrozenResNet {
         }
     }
 
-    /// Quantize this f32 plan into an int8 plan, calibrating every conv's
-    /// input activation scale by replaying `calib` (a `[n, in_channels,
-    /// l]` batch of held-out windows, pre-processed exactly like serving
-    /// inputs) through the f32 path. The residual adds, GAP, head and CAM
-    /// stay f32.
-    pub fn quantize(&self, calib: &Tensor) -> FrozenResNet {
-        let mut ranges = vec![BlockRanges::default(); self.blocks.len()];
-        self.forward(calib, &mut InferenceArena::new(), Some(&mut ranges));
-        let blocks = self
-            .blocks
-            .iter()
-            .zip(&ranges)
-            .map(|(b, r)| FrozenBlock {
-                stage1: b.stage1.quantize(r.input),
-                stage2: b.stage2.quantize(r.mid1),
-                stage3: b.stage3.quantize(r.mid2),
-                shortcut: b.shortcut.as_ref().map(|sc| sc.quantize(r.input)),
-                in_channels: b.in_channels,
-                out_channels: b.out_channels,
-            })
-            .collect();
-        FrozenResNet {
-            blocks,
-            head_weight: self.head_weight.clone(),
-            head_bias: self.head_bias.clone(),
-            ..*self
-        }
-    }
-
-    /// Whether this plan was built by [`FrozenResNet::quantize`].
-    pub fn is_int8(&self) -> bool {
-        self.blocks[0].stage1.is_int8()
-    }
-
     /// Kernel size of the source member (the ensemble diversity knob).
     pub fn kernel(&self) -> usize {
         self.kernel
@@ -486,36 +360,16 @@ impl FrozenResNet {
     /// and logits ([`InferenceArena::logits_row`]). Zero heap allocations
     /// once the arena has seen the shape.
     pub fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        let _span = ds_obs::span!(if self.is_int8() {
-            "frozen.forward.int8"
-        } else {
-            "frozen.forward"
-        });
-        self.forward(x, arena, None);
-    }
-
-    /// [`FrozenResNet::predict_into`] without the span; `ranges` (one
-    /// record per block) collects activation max-abs when calibrating.
-    fn forward(
-        &self,
-        x: &Tensor,
-        arena: &mut InferenceArena,
-        mut ranges: Option<&mut [BlockRanges]>,
-    ) {
+        let _span = ds_obs::span!("frozen.forward");
         let (b, c, l) = x.shape();
         assert_eq!(c, self.in_channels, "frozen input channel mismatch");
         assert!(b > 0 && l > 0, "frozen forward needs a non-empty batch");
-        if self.is_int8() {
-            arena.ensure_quant(b, l, self.max_channels, self.features, self.num_classes);
-        } else {
-            arena.ensure(b, l, self.max_channels, self.features, self.num_classes);
-        }
-        let (buf_a, buf_b, buf_c, qbuf, _aux, pooled, logits, softmax, probs, cams) = arena.parts();
+        arena.ensure(b, l, self.max_channels, self.features, self.num_classes);
+        let (buf_a, buf_b, buf_c, _aux, pooled, logits, softmax, probs, cams) = arena.parts();
         buf_a[..b * c * l].copy_from_slice(&x.data[..b * c * l]);
         let mut c_in = self.in_channels;
-        for (i, block) in self.blocks.iter().enumerate() {
-            let r = ranges.as_deref_mut().map(|r| &mut r[i]);
-            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, qbuf, b, l, r);
+        for block in &self.blocks {
+            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, b, l);
             std::mem::swap(buf_a, buf_b);
             c_in = block.out_channels;
         }
@@ -536,9 +390,8 @@ impl FrozenResNet {
         );
     }
 
-    /// Every parameter as raw bits in a fixed traversal order (int8
-    /// codes widened to `u32`, with their scales). Two plans with equal
-    /// `param_bits` compute bit-identical outputs; the model_io
+    /// Every parameter as raw bits in a fixed traversal order. Two plans
+    /// with equal `param_bits` compute bit-identical outputs; the model_io
     /// round-trip test uses this to assert `freeze(load(save(net)))`
     /// equals `freeze(net)` exactly.
     pub fn param_bits(&self) -> Vec<u32> {
@@ -552,7 +405,7 @@ impl FrozenResNet {
     }
 }
 
-/// The network epilogue shared by the f32 and int8 frozen plans: GAP,
+/// The network epilogue shared by every backbone's frozen plan: GAP,
 /// head, softmax → positive-class probability, and the class-1 CAM, all
 /// reading `feats` (`[b, features, l]`) in place and writing into arena
 /// buffers. Accumulation orders match the mutable reference path

@@ -17,16 +17,13 @@
 //! (each branch owns a contiguous slice of the normalized channels), the
 //! bottleneck and pool convs freeze as-is, and execution runs inside the
 //! shared [`InferenceArena`] (branch staging lives in the arena's aux
-//! scratch) with zero steady-state allocations. [`FrozenInception`] serves
-//! both precisions: [`FrozenInception::quantize`] rebuilds every conv as a
-//! calibrated int8 [`crate::quant::QuantConv`] while pooling, concat and
-//! the residual adds stay f32.
+//! scratch) with zero steady-state allocations.
 
 use crate::activations::{relu_infer, ReLU};
 use crate::batchnorm::BatchNorm1d;
 use crate::cam::cam_from_features;
 use crate::conv::Conv1d;
-use crate::frozen::{finish_forward, maxabs, FrozenConv, PlanConv};
+use crate::frozen::{finish_forward, FrozenConv};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
@@ -372,6 +369,55 @@ impl InceptionNet {
         self.config.kernel
     }
 
+    /// Structural validation of a deserialized network (see the
+    /// `check` module): one block per configured channel count, each
+    /// splitting its output into four equal branches, chained from the
+    /// configured input channels into the head.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let cfg = &self.config;
+        if self.blocks.is_empty() {
+            return Err("no inception blocks".into());
+        }
+        crate::check::dim(
+            "network",
+            "inception blocks",
+            self.blocks.len(),
+            cfg.channels.len(),
+        )?;
+        let mut c_in = cfg.in_channels;
+        for (i, (b, &c_out)) in self.blocks.iter().zip(&cfg.channels).enumerate() {
+            let what = format!("block {i}");
+            crate::check::dim(&what, "input channels", b.in_channels, c_in)?;
+            crate::check::dim(&what, "output channels", b.out_channels, c_out)?;
+            if c_out == 0 || c_out % 4 != 0 {
+                return Err(format!(
+                    "{what}: {c_out} channels, expected a positive multiple of 4"
+                ));
+            }
+            let w = c_out / 4;
+            b.bottleneck.check(&format!("{what} bottleneck"), c_in, w)?;
+            for (name, conv) in [
+                ("branch1", &b.branch1),
+                ("branch2", &b.branch2),
+                ("branch3", &b.branch3),
+            ] {
+                conv.check(&format!("{what} {name}"), w, w)?;
+            }
+            b.pool_conv.check(&format!("{what} pool conv"), c_in, w)?;
+            b.bn.check(&format!("{what} bn"), c_out)?;
+            match &b.shortcut {
+                Some(sc) => {
+                    sc.conv.check(&format!("{what} shortcut"), c_in, c_out)?;
+                    sc.bn.check(&format!("{what} shortcut"), c_out)?;
+                }
+                None if c_in == c_out => {}
+                None => return Err(format!("{what}: channels change but there is no shortcut")),
+            }
+            c_in = c_out;
+        }
+        crate::check::head(&self.head, c_in, cfg.num_classes)
+    }
+
     /// Forward pass to logits `[B, num_classes]`; caches the last-block
     /// feature maps for CAM extraction.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Matrix {
@@ -431,24 +477,14 @@ impl VisitParams for InceptionNet {
 // Frozen plan
 // ---------------------------------------------------------------------------
 
-/// Calibration record of one frozen inception block: max-abs of the block
-/// input (feeds bottleneck, pool and shortcut) and of the bottleneck and
-/// pooled activations (feed the branch convs).
-#[derive(Debug, Clone, Copy, Default)]
-struct IncRanges {
-    input: f32,
-    bott: f32,
-    pool: f32,
-}
-
 #[derive(Debug, Clone)]
 struct FrozenIncBlock {
-    bottleneck: PlanConv,
-    branch1: PlanConv,
-    branch2: PlanConv,
-    branch3: PlanConv,
-    pool_conv: PlanConv,
-    shortcut: Option<PlanConv>,
+    bottleneck: FrozenConv,
+    branch1: FrozenConv,
+    branch2: FrozenConv,
+    branch3: FrozenConv,
+    pool_conv: FrozenConv,
+    shortcut: Option<FrozenConv>,
     in_channels: usize,
     /// Branch width (`out_channels / 4`).
     width: usize,
@@ -463,43 +499,30 @@ impl FrozenIncBlock {
     }
 
     /// Run the block: read `x`, leave the result in `out`, clobber `tmp`
-    /// and `aux`. `ranges` records activation max-abs when calibrating.
-    #[allow(clippy::too_many_arguments)]
+    /// and `aux`.
     fn infer_into(
         &self,
         x: &[f32],
         out: &mut [f32],
         tmp: &mut [f32],
         aux: &mut [f32],
-        qbuf: &mut [i8],
         batch: usize,
         l: usize,
-        mut ranges: Option<&mut IncRanges>,
     ) {
         let (w, n_in) = (self.width, batch * self.in_channels * l);
         let n_out = batch * self.out_channels * l;
         let (bott_buf, rest) = aux.split_at_mut(batch * w * l);
         let (branch_buf, rest) = rest.split_at_mut(batch * w * l);
         let pool_buf = &mut rest[..n_in];
-        if let Some(r) = ranges.as_deref_mut() {
-            r.input = r.input.max(maxabs(&x[..n_in]));
-        }
-        self.bottleneck
-            .infer_into(x, batch, l, bott_buf, false, qbuf);
-        if let Some(r) = ranges.as_deref_mut() {
-            r.bott = r.bott.max(maxabs(bott_buf));
-        }
+        self.bottleneck.infer_into(x, batch, l, bott_buf, false);
         // Pool branch input: width-3 same-length max over each channel row.
         for (y_row, x_row) in pool_buf.chunks_mut(l).zip(x[..n_in].chunks(l)) {
             maxpool3_row(x_row, y_row, None);
         }
-        if let Some(r) = ranges {
-            r.pool = r.pool.max(maxabs(pool_buf));
-        }
         let branches = [&self.branch1, &self.branch2, &self.branch3, &self.pool_conv];
         for (pi, conv) in branches.into_iter().enumerate() {
             let src: &[f32] = if pi == 3 { pool_buf } else { bott_buf };
-            conv.infer_into(src, batch, l, branch_buf, false, qbuf);
+            conv.infer_into(src, batch, l, branch_buf, false);
             // Scatter the branch's rows into its channel slice of `out`.
             for bi in 0..batch {
                 for ci in 0..w {
@@ -511,7 +534,7 @@ impl FrozenIncBlock {
         }
         match &self.shortcut {
             Some(sc) => {
-                sc.infer_into(x, batch, l, tmp, false, qbuf);
+                sc.infer_into(x, batch, l, tmp, false);
                 for (o, &r) in out[..n_out].iter_mut().zip(&tmp[..n_out]) {
                     *o = (*o + r).max(0.0);
                 }
@@ -536,7 +559,7 @@ impl FrozenIncBlock {
     }
 }
 
-/// The frozen serving form of an [`InceptionNet`], at either precision —
+/// The frozen serving form of an [`InceptionNet`] —
 /// post-concat BN folded per branch, ReLU fused into the residual add,
 /// arena-driven with zero steady-state allocations.
 #[derive(Debug, Clone)]
@@ -565,14 +588,14 @@ impl FrozenInception {
                 let w = b.out_channels / 4;
                 let (scale, shift) = b.bn.inference_affine();
                 let fold = |conv: &Conv1d, pi: usize| {
-                    PlanConv::F32(FrozenConv::fold_affine(
+                    FrozenConv::fold_affine(
                         conv,
                         &scale[pi * w..(pi + 1) * w],
                         &shift[pi * w..(pi + 1) * w],
-                    ))
+                    )
                 };
                 FrozenIncBlock {
-                    bottleneck: PlanConv::F32(FrozenConv::from_conv(&b.bottleneck)),
+                    bottleneck: FrozenConv::from_conv(&b.bottleneck),
                     branch1: fold(&b.branch1, 0),
                     branch2: fold(&b.branch2, 1),
                     branch3: fold(&b.branch3, 2),
@@ -580,7 +603,7 @@ impl FrozenInception {
                     shortcut: b
                         .shortcut
                         .as_ref()
-                        .map(|sc| PlanConv::F32(FrozenConv::fold(&sc.conv, &sc.bn))),
+                        .map(|sc| FrozenConv::fold(&sc.conv, &sc.bn)),
                     in_channels: b.in_channels,
                     width: w,
                     out_channels: b.out_channels,
@@ -607,34 +630,6 @@ impl FrozenInception {
         }
     }
 
-    /// Quantize this f32 plan into an int8 plan, calibrating every conv's
-    /// input activation scale by replaying `calib` through the f32 path.
-    /// Pooling, concat, the residual adds and the head stay f32.
-    pub fn quantize(&self, calib: &Tensor) -> FrozenInception {
-        let mut ranges = vec![IncRanges::default(); self.blocks.len()];
-        self.forward(calib, &mut InferenceArena::new(), Some(&mut ranges));
-        let blocks = self
-            .blocks
-            .iter()
-            .zip(&ranges)
-            .map(|(b, r)| FrozenIncBlock {
-                bottleneck: b.bottleneck.quantize(r.input),
-                branch1: b.branch1.quantize(r.bott),
-                branch2: b.branch2.quantize(r.bott),
-                branch3: b.branch3.quantize(r.bott),
-                pool_conv: b.pool_conv.quantize(r.pool),
-                shortcut: b.shortcut.as_ref().map(|sc| sc.quantize(r.input)),
-                ..b.clone()
-            })
-            .collect();
-        FrozenInception {
-            blocks,
-            head_weight: self.head_weight.clone(),
-            head_bias: self.head_bias.clone(),
-            ..*self
-        }
-    }
-
     fn aux_len(&self, batch: usize, l: usize) -> usize {
         self.blocks
             .iter()
@@ -643,11 +638,6 @@ impl FrozenInception {
             .unwrap_or(0)
             * batch
             * l
-    }
-
-    /// Whether this plan was built by [`FrozenInception::quantize`].
-    pub fn is_int8(&self) -> bool {
-        self.blocks[0].bottleneck.is_int8()
     }
 
     /// Nominal kernel size of the source member.
@@ -674,37 +664,17 @@ impl FrozenInception {
     /// [`crate::frozen::FrozenResNet::predict_into`]: zero heap
     /// allocations once the arena has seen the shape.
     pub fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        let _span = ds_obs::span!(if self.is_int8() {
-            "frozen.forward.int8"
-        } else {
-            "frozen.forward"
-        });
-        self.forward(x, arena, None);
-    }
-
-    /// [`FrozenInception::predict_into`] without the span; `ranges` (one
-    /// record per block) collects activation max-abs when calibrating.
-    fn forward(
-        &self,
-        x: &Tensor,
-        arena: &mut InferenceArena,
-        mut ranges: Option<&mut [IncRanges]>,
-    ) {
+        let _span = ds_obs::span!("frozen.forward");
         let (b, c, l) = x.shape();
         assert_eq!(c, self.in_channels, "frozen input channel mismatch");
         assert!(b > 0 && l > 0, "frozen forward needs a non-empty batch");
-        if self.is_int8() {
-            arena.ensure_quant(b, l, self.max_channels, self.features, self.num_classes);
-        } else {
-            arena.ensure(b, l, self.max_channels, self.features, self.num_classes);
-        }
+        arena.ensure(b, l, self.max_channels, self.features, self.num_classes);
         arena.ensure_aux(self.aux_len(b, l));
-        let (buf_a, buf_b, buf_c, qbuf, aux, pooled, logits, softmax, probs, cams) = arena.parts();
+        let (buf_a, buf_b, buf_c, aux, pooled, logits, softmax, probs, cams) = arena.parts();
         buf_a[..b * c * l].copy_from_slice(&x.data[..b * c * l]);
         let mut c_in = self.in_channels;
-        for (i, block) in self.blocks.iter().enumerate() {
-            let r = ranges.as_deref_mut().map(|r| &mut r[i]);
-            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, aux, qbuf, b, l, r);
+        for block in &self.blocks {
+            block.infer_into(&buf_a[..b * c_in * l], buf_b, buf_c, aux, b, l);
             std::mem::swap(buf_a, buf_b);
             c_in = block.out_channels;
         }
@@ -880,48 +850,22 @@ mod tests {
     }
 
     #[test]
-    fn quantized_plan_matches_frozen_decisions() {
-        let mut net = InceptionNet::new(tiny_config(3, 9));
-        warm_bn(&mut net, 40);
-        let frozen = FrozenInception::freeze(&net);
-        assert!(!frozen.is_int8());
-        let quant = frozen.quantize(&sample_input(8, 1, 40, 11));
-        assert!(quant.is_int8());
-        let x = sample_input(4, 1, 40, 2);
-        let mut fa = InferenceArena::new();
-        let mut qa = InferenceArena::new();
-        frozen.predict_into(&x, &mut fa);
-        quant.predict_into(&x, &mut qa);
-        for bi in 0..4 {
-            let (fp, qp) = (fa.probs()[bi], qa.probs()[bi]);
-            assert!((fp - qp).abs() < 0.05, "prob drift {fp} vs {qp}");
-            if (fp - 0.5).abs() > 0.05 {
-                assert_eq!(fp > 0.5, qp > 0.5, "decision flip");
-            }
-        }
-    }
-
-    #[test]
     fn steady_state_predict_allocates_nothing() {
         let mut net = InceptionNet::new(tiny_config(3, 13));
         warm_bn(&mut net, 32);
-        for plan in [
-            FrozenInception::freeze(&net),
-            FrozenInception::freeze(&net).quantize(&sample_input(4, 1, 32, 1)),
-        ] {
-            let x = sample_input(3, 1, 32, 2);
-            let mut arena = InferenceArena::new();
-            plan.predict_into(&x, &mut arena); // warmup sizes the arena
-            let before = ds_obs::alloc_count();
-            for _ in 0..8 {
-                plan.predict_into(&x, &mut arena);
-            }
-            assert_eq!(
-                ds_obs::alloc_count(),
-                before,
-                "steady-state frozen inception forward must not allocate"
-            );
+        let plan = FrozenInception::freeze(&net);
+        let x = sample_input(3, 1, 32, 2);
+        let mut arena = InferenceArena::new();
+        plan.predict_into(&x, &mut arena); // warmup sizes the arena
+        let before = ds_obs::alloc_count();
+        for _ in 0..8 {
+            plan.predict_into(&x, &mut arena);
         }
+        assert_eq!(
+            ds_obs::alloc_count(),
+            before,
+            "steady-state frozen inception forward must not allocate"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! The paper's CamAL method needs exactly one architecture family: the
 //! **convolutional Residual Network for time-series classification** of
-//! Wang et al. (IJCNN 2016), cited as [7] — stacked residual blocks of
+//! Wang et al. (IJCNN 2016), cited as \[7\] — stacked residual blocks of
 //! `Conv1d → BatchNorm1d → ReLU`, a global average pooling (GAP), and a
 //! linear classification head. Its baselines need a handful of further
 //! convolutional seq2seq architectures. Everything required to build and
@@ -35,13 +35,12 @@
 //! - [`frozen`], [`plan`]: the compiled serving form — BatchNorm folded into
 //!   conv weights, ReLU fused into the conv epilogue, and a ping-pong
 //!   inference arena that makes steady-state prediction allocation-free.
-//!   One plan type per backbone serves both precisions.
 //! - [`simd`]: runtime-dispatched AVX2/FMA kernels for the frozen path
 //!   (`DS_SIMD=off` forces the scalar determinism twins).
-//! - [`quant`]: the int8 symmetric-quantized conv the frozen plans switch
-//!   to — per-channel weight scales, calibrated activation scales, exact
-//!   i32 accumulation.
 //! - [`serialize`]: JSON weight persistence for trained models.
+//! - `check` (private): structural validation of deserialized layers
+//!   (shapes chain, parameters finite) behind each network's `validate`,
+//!   so malformed checkpoints fail with an error instead of a panic.
 //!
 //! Every differentiable layer is covered by finite-difference gradient
 //! checks in its module tests.
@@ -50,6 +49,7 @@ pub mod activations;
 pub mod backbone;
 pub mod batchnorm;
 pub mod cam;
+mod check;
 pub mod conv;
 pub mod frozen;
 pub mod inception;
@@ -59,7 +59,6 @@ pub mod loss;
 pub mod optim;
 pub mod plan;
 pub mod pool;
-pub mod quant;
 pub mod resblock;
 pub mod resnet;
 pub mod sample;

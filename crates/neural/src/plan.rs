@@ -39,9 +39,6 @@ pub struct InferenceArena {
     probs: Vec<f32>,
     /// Class-1 CAM per batch row `[B, L]`.
     cams: Vec<f32>,
-    /// Quantized-input scratch `[B, C, L]` as `i8` — only grown by
-    /// [`InferenceArena::ensure_quant`]; stays empty for f32 plans.
-    qbuf: Vec<i8>,
     /// Backbone-specific scratch (Inception branch staging, TransApp
     /// attention scores) — only grown by [`InferenceArena::ensure_aux`];
     /// stays empty for plain ResNet plans.
@@ -88,23 +85,6 @@ impl InferenceArena {
         self.classes = classes;
     }
 
-    /// [`InferenceArena::ensure`] plus the `i8` input-quantization
-    /// scratch the int8 plan needs. Grow-only, like everything else here.
-    pub fn ensure_quant(
-        &mut self,
-        batch: usize,
-        len: usize,
-        max_channels: usize,
-        features: usize,
-        classes: usize,
-    ) {
-        self.ensure(batch, len, max_channels, features, classes);
-        let act = batch * max_channels * len;
-        if self.qbuf.len() < act {
-            self.qbuf.resize(act, 0);
-        }
-    }
-
     /// Grow the backbone-specific f32 scratch to at least `n` elements.
     /// Grow-only, like everything else here; call before [`parts`].
     ///
@@ -115,9 +95,9 @@ impl InferenceArena {
         }
     }
 
-    /// The ping/pong/scratch activation buffers, the `i8` quantization
-    /// scratch, the backbone aux scratch, plus the output buffers,
-    /// borrowed simultaneously for one forward pass.
+    /// The ping/pong/scratch activation buffers, the backbone aux scratch
+    /// and the output buffers, borrowed simultaneously for one forward
+    /// pass.
     #[allow(clippy::type_complexity)]
     pub(crate) fn parts(
         &mut self,
@@ -125,7 +105,6 @@ impl InferenceArena {
         &mut Vec<f32>,
         &mut Vec<f32>,
         &mut Vec<f32>,
-        &mut [i8],
         &mut [f32],
         &mut [f32],
         &mut [f32],
@@ -137,7 +116,6 @@ impl InferenceArena {
             &mut self.buf_a,
             &mut self.buf_b,
             &mut self.buf_c,
-            &mut self.qbuf,
             &mut self.aux,
             &mut self.pooled,
             &mut self.logits,
@@ -160,7 +138,7 @@ impl InferenceArena {
             + self.softmax.capacity()
             + self.probs.capacity()
             + self.cams.capacity();
-        f32s * std::mem::size_of::<f32>() + self.qbuf.capacity()
+        f32s * std::mem::size_of::<f32>()
     }
 
     /// Batch size of the most recent pass.

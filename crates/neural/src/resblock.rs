@@ -121,6 +121,33 @@ impl ResidualBlock {
         self.shortcut.as_ref().map(|sc| (&sc.conv, &sc.bn))
     }
 
+    /// Structural validation (see the `check` module): an `in_channels →
+    /// out_channels` block whose stages chain, with a projection
+    /// shortcut wherever the identity cannot add up.
+    pub(crate) fn check(&self, what: &str, in_ch: usize, out_ch: usize) -> Result<(), String> {
+        crate::check::dim(what, "input channels", self.in_channels, in_ch)?;
+        crate::check::dim(what, "output channels", self.out_channels, out_ch)?;
+        let stages = [
+            (&self.stage1, in_ch),
+            (&self.stage2, out_ch),
+            (&self.stage3, out_ch),
+        ];
+        for (i, (stage, c_in)) in stages.into_iter().enumerate() {
+            let what = format!("{what} stage {}", i + 1);
+            stage.conv.check(&what, c_in, out_ch)?;
+            stage.bn.check(&what, out_ch)?;
+        }
+        match &self.shortcut {
+            Some(sc) => {
+                let what = format!("{what} shortcut");
+                sc.conv.check(&what, in_ch, out_ch)?;
+                sc.bn.check(&what, out_ch)
+            }
+            None if in_ch == out_ch => Ok(()),
+            None => Err(format!("{what}: channels change but there is no shortcut")),
+        }
+    }
+
     /// Backward pass, returning the gradient with respect to the input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g_sum = self.relu_out.backward(grad_out);

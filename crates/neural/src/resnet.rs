@@ -100,6 +100,28 @@ impl ResNet {
         self.config.kernel
     }
 
+    /// Structural validation of a deserialized network (see the
+    /// `check` module): one block per configured channel count, chained
+    /// from the configured input channels into the head.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let cfg = &self.config;
+        if self.blocks.is_empty() {
+            return Err("no residual blocks".into());
+        }
+        crate::check::dim(
+            "network",
+            "residual blocks",
+            self.blocks.len(),
+            cfg.channels.len(),
+        )?;
+        let mut c_in = cfg.in_channels;
+        for (i, (block, &c_out)) in self.blocks.iter().zip(&cfg.channels).enumerate() {
+            block.check(&format!("block {i}"), c_in, c_out)?;
+            c_in = c_out;
+        }
+        crate::check::head(&self.head, c_in, cfg.num_classes)
+    }
+
     /// Forward pass to logits `[B, num_classes]`. Always caches the
     /// last-block feature maps for subsequent CAM extraction.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Matrix {

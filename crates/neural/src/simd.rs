@@ -16,24 +16,16 @@
 //! compare both paths in one process). Non-x86_64 builds compile to the
 //! scalar path unconditionally.
 //!
-//! Two kernel families live here:
+//! One kernel family lives here: **f32 conv rows** (`frozen_conv_rows`),
+//! the frozen `[4 output rows] × [all input channels]` accumulation,
+//! vectorized over eight adjacent output positions. Each tap broadcast
+//! feeds four f32x8 FMA accumulators, so one weight load performs 32
+//! multiply-accumulates — against the scalar kernel's two positions per
+//! weight load. Per element, taps still accumulate in ascending `(ic, k)`
+//! order, so the only numeric difference from the scalar twin is FMA's
+//! single rounding.
 //!
-//! - **f32 conv rows** ([`frozen_conv_rows`]): the frozen `[4 output
-//!   rows] × [all input channels]` accumulation, vectorized over eight
-//!   adjacent output positions. Each tap broadcast feeds four f32x8 FMA
-//!   accumulators, so one weight load performs 32 multiply-accumulates —
-//!   against the scalar kernel's two positions per weight load. Per
-//!   element, taps still accumulate in ascending `(ic, k)` order, so the
-//!   only numeric difference from the scalar twin is FMA's single
-//!   rounding.
-//! - **int8 conv rows** ([`quant_conv_rows`]): the quantized variant —
-//!   i8×i8 products accumulated in i32 lanes. Integer addition is
-//!   associative, and the f32 dequantization epilogue performs the same
-//!   two-rounding `acc·scale + bias` per element as the scalar twin, so
-//!   the SIMD int8 path is **bit-identical** to the scalar int8 path
-//!   (asserted by the property tests), not merely within tolerance.
-//!
-//! Both families compute whole rows only. Streaming reuses work per
+//! The kernel computes whole rows only. Streaming reuses work per
 //! window (`ds_camal::StreamingCamal`), never per conv position: every
 //! window is z-normalized on its own, so no conv output outlives the
 //! window it was computed for.
@@ -49,7 +41,7 @@ pub const ENV_VAR: &str = "DS_SIMD";
 pub enum SimdMode {
     /// Scalar determinism twins only.
     Scalar,
-    /// AVX2 + FMA f32x8 / i32x8 kernels.
+    /// AVX2 + FMA f32x8 kernels.
     Avx2,
 }
 
@@ -331,228 +323,6 @@ unsafe fn f32_rows_avx2(
                 pad,
                 dilation,
                 x_rows,
-                block,
-                l,
-                relu,
-                oc,
-                rows,
-                0,
-                l,
-            );
-        }
-        oc += rows;
-    }
-}
-
-/// One scalar output position for up to four rows of a quantized conv
-/// block: i32 accumulation over in-range taps, then the two-rounding
-/// dequantization epilogue `acc·combined + bias`. Shared by the scalar
-/// twin and the SIMD edge handling, so both paths are bit-identical.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn quant_scalar_positions(
-    wq: &[i8],
-    combined: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    xq_rows: &[i8],
-    y_rows: &mut [f32],
-    l: usize,
-    relu: bool,
-    oc0: usize,
-    rows: usize,
-    t0: usize,
-    t1: usize,
-) {
-    for t in t0..t1 {
-        for r in 0..rows {
-            let oc = oc0 + r;
-            let mut acc = 0i32;
-            for ic in 0..in_channels {
-                let x_row = &xq_rows[ic * l..(ic + 1) * l];
-                let w = &wq[(oc * in_channels + ic) * kernel..][..kernel];
-                for (kk, &wv) in w.iter().enumerate() {
-                    let s = t as isize + (kk * dilation) as isize - pad as isize;
-                    if s >= 0 && (s as usize) < l {
-                        acc += wv as i32 * x_row[s as usize] as i32;
-                    }
-                }
-            }
-            let v = acc as f32 * combined[oc] + bias[oc];
-            y_rows[r * l + t] = if relu { v.max(0.0) } else { v };
-        }
-    }
-}
-
-/// Vectorized quantized conv forward over one batch row (i32 lanes, f32
-/// dequant epilogue). Returns `false` when the SIMD path is disabled —
-/// the caller runs the scalar twin, which is bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quant_conv_rows(
-    wq: &[i8],
-    combined: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    xq_rows: &[i8],
-    y_rows: &mut [f32],
-    l: usize,
-    relu: bool,
-) -> bool {
-    if mode() != SimdMode::Avx2 {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: gated on the cached avx2+fma detection, as above.
-        unsafe {
-            quant_rows_avx2(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                out_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
-                y_rows,
-                l,
-                relu,
-            );
-        }
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// AVX2 int8 interior kernel: four output rows × eight positions, i8
-/// taps widened to i32 lanes and multiply-accumulated exactly (integer
-/// adds are associative, so lane order cannot change the result).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn quant_rows_avx2(
-    wq: &[i8],
-    combined: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    xq_rows: &[i8],
-    y_rows: &mut [f32],
-    l: usize,
-    relu: bool,
-) {
-    use std::arch::x86_64::*;
-    let span = (kernel - 1) * dilation;
-    let t_lo = pad.min(l);
-    let t_hi = (l + pad).saturating_sub(span).clamp(t_lo, l);
-    let zero = _mm256_setzero_ps();
-    let mut oc = 0;
-    while oc < out_channels {
-        let rows = (out_channels - oc).min(4);
-        let block = &mut y_rows[oc * l..(oc + rows) * l];
-        if rows == 4 {
-            let mut t = t_lo;
-            while t + 8 <= t_hi {
-                let mut a0 = _mm256_setzero_si256();
-                let mut a1 = _mm256_setzero_si256();
-                let mut a2 = _mm256_setzero_si256();
-                let mut a3 = _mm256_setzero_si256();
-                for ic in 0..in_channels {
-                    let x_base = xq_rows.as_ptr().add(ic * l + t - pad);
-                    let w_base = (oc * in_channels + ic) * kernel;
-                    for kk in 0..kernel {
-                        // Widen 8 adjacent i8 inputs to i32 lanes.
-                        let raw = _mm_loadl_epi64(x_base.add(kk * dilation) as *const __m128i);
-                        let xv = _mm256_cvtepi8_epi32(raw);
-                        let w_at = |r: usize| {
-                            _mm256_set1_epi32(
-                                *wq.get_unchecked(w_base + r * in_channels * kernel + kk) as i32,
-                            )
-                        };
-                        a0 = _mm256_add_epi32(a0, _mm256_mullo_epi32(xv, w_at(0)));
-                        a1 = _mm256_add_epi32(a1, _mm256_mullo_epi32(xv, w_at(1)));
-                        a2 = _mm256_add_epi32(a2, _mm256_mullo_epi32(xv, w_at(2)));
-                        a3 = _mm256_add_epi32(a3, _mm256_mullo_epi32(xv, w_at(3)));
-                    }
-                }
-                // Dequant epilogue: mul then add (two roundings), matching
-                // the scalar twin's `acc as f32 * combined + bias`.
-                let y = block.as_mut_ptr().add(t);
-                let store = |ptr: *mut f32, acc: __m256i, r: usize| {
-                    let f = _mm256_cvtepi32_ps(acc);
-                    let mut v = _mm256_add_ps(
-                        _mm256_mul_ps(f, _mm256_set1_ps(combined[oc + r])),
-                        _mm256_set1_ps(bias[oc + r]),
-                    );
-                    if relu {
-                        v = _mm256_max_ps(v, zero);
-                    }
-                    _mm256_storeu_ps(ptr, v);
-                };
-                store(y, a0, 0);
-                store(y.add(l), a1, 1);
-                store(y.add(2 * l), a2, 2);
-                store(y.add(3 * l), a3, 3);
-                t += 8;
-            }
-            quant_scalar_positions(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
-                block,
-                l,
-                relu,
-                oc,
-                4,
-                0,
-                t_lo,
-            );
-            quant_scalar_positions(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
-                block,
-                l,
-                relu,
-                oc,
-                4,
-                t,
-                l,
-            );
-        } else {
-            quant_scalar_positions(
-                wq,
-                combined,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                xq_rows,
                 block,
                 l,
                 relu,

@@ -120,11 +120,6 @@ impl Tensor {
             *a += b;
         }
     }
-
-    /// Largest absolute element (0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
-    }
 }
 
 /// A `[rows, cols]` matrix (classifier logits, GAP outputs), row-major.
@@ -219,13 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_and_max_abs() {
+    fn add_assign_and_zeros_like() {
         let mut a = Tensor::from_data(1, 1, 3, vec![1.0, -5.0, 2.0]);
         let b = Tensor::from_data(1, 1, 3, vec![1.0, 1.0, 1.0]);
         a.add_assign(&b);
         assert_eq!(a.data, vec![2.0, -4.0, 3.0]);
-        assert_eq!(a.max_abs(), 4.0);
-        assert_eq!(a.zeros_like().max_abs(), 0.0);
+        assert_eq!(a.zeros_like().data, vec![0.0; 3]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! BatchNorm between stages — at ensemble-member size. Every learned
 //! projection (Q/K/V/O, both FFN stages) is a **1×1 convolution**, which
 //! at inference is exactly a per-position linear map: the frozen form
-//! therefore rides the existing SIMD conv kernels and the int8 quantized
-//! path without any new kernel code. Only the attention softmax itself is
-//! bespoke, and the frozen path calls the very same [`softmax_inplace`]
+//! therefore rides the existing SIMD conv kernels without any new kernel
+//! code. Only the attention softmax itself is
+//! bespoke, and the frozen path calls the very same `softmax_inplace`
 //! the mutable path uses, so the two associate floating-point operations
 //! identically — the parity suite holds them to the frozen-plan contract
 //! (probs ≤ 1e-4, CAMs ≤ 1e-3, zero decision flips).
@@ -27,7 +27,7 @@ use crate::activations::{relu_infer, ReLU};
 use crate::batchnorm::BatchNorm1d;
 use crate::cam::cam_from_features;
 use crate::conv::Conv1d;
-use crate::frozen::{finish_forward, maxabs, FrozenConv, PlanConv};
+use crate::frozen::{finish_forward, FrozenConv};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
@@ -384,6 +384,33 @@ impl TransAppNet {
         self.config.kernel
     }
 
+    /// Structural validation of a deserialized network (see the
+    /// `check` module): the embedding maps the configured input
+    /// channels to `d_model`, and every block keeps `d_model` through
+    /// its projections and its `d → 2d → d` feed-forward.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let cfg = &self.config;
+        let d = cfg.d_model;
+        if d == 0 || self.blocks.is_empty() {
+            return Err("needs a positive d_model and at least one block".into());
+        }
+        crate::check::dim("network", "attention blocks", self.blocks.len(), cfg.blocks)?;
+        self.embed.check("embedding", cfg.in_channels, d)?;
+        self.embed_bn.check("embedding", d)?;
+        for (i, b) in self.blocks.iter().enumerate() {
+            let what = format!("block {i}");
+            crate::check::dim(&what, "width", b.d, d)?;
+            for (name, conv) in [("q", &b.q), ("k", &b.k), ("v", &b.v), ("o", &b.o)] {
+                conv.check(&format!("{what} {name}"), d, d)?;
+            }
+            b.bn1.check(&format!("{what} bn1"), d)?;
+            b.ffn1.check(&format!("{what} ffn1"), d, 2 * d)?;
+            b.ffn2.check(&format!("{what} ffn2"), 2 * d, d)?;
+            b.bn2.check(&format!("{what} bn2"), d)?;
+        }
+        crate::check::head(&self.head, d, cfg.num_classes)
+    }
+
     /// Forward pass to logits `[B, num_classes]`; caches the last-block
     /// feature maps for CAM extraction.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Matrix {
@@ -450,29 +477,16 @@ impl VisitParams for TransAppNet {
 // Frozen plan
 // ---------------------------------------------------------------------------
 
-/// Calibration record of one frozen block's conv inputs.
-#[derive(Debug, Clone, Copy, Default)]
-struct TransRanges {
-    /// Block input (feeds Q/K/V).
-    input: f32,
-    /// Attended values (feed the output projection).
-    attn_out: f32,
-    /// Post-BN1 activation (feeds ffn1).
-    bn1_out: f32,
-    /// FFN hidden activation (feeds ffn2).
-    ffn_hidden: f32,
-}
-
 #[derive(Debug, Clone)]
 struct FrozenTransBlock {
-    q: PlanConv,
-    k: PlanConv,
-    v: PlanConv,
-    o: PlanConv,
+    q: FrozenConv,
+    k: FrozenConv,
+    v: FrozenConv,
+    o: FrozenConv,
     bn1_scale: Vec<f32>,
     bn1_shift: Vec<f32>,
-    ffn1: PlanConv,
-    ffn2: PlanConv,
+    ffn1: FrozenConv,
+    ffn2: FrozenConv,
     bn2_scale: Vec<f32>,
     bn2_shift: Vec<f32>,
     d: usize,
@@ -482,31 +496,25 @@ impl FrozenTransBlock {
     /// Run the block in place over `buf_a` (input and output), using
     /// `buf_b`/`buf_c` as `[B, 2d, L]`-capable scratch and `aux` for
     /// Q/K/V (`3·B·d·L`) plus one `[L, L]` score matrix.
-    #[allow(clippy::too_many_arguments)]
     fn infer_into(
         &self,
         buf_a: &mut [f32],
         buf_b: &mut [f32],
         buf_c: &mut [f32],
         aux: &mut [f32],
-        qbuf: &mut [i8],
         batch: usize,
         l: usize,
-        mut ranges: Option<&mut TransRanges>,
     ) {
         let d = self.d;
         let n = batch * d * l;
         let x = &buf_a[..n];
-        if let Some(r) = ranges.as_deref_mut() {
-            r.input = r.input.max(maxabs(x));
-        }
         let (q_buf, rest) = aux.split_at_mut(n);
         let (k_buf, rest) = rest.split_at_mut(n);
         let (v_buf, rest) = rest.split_at_mut(n);
         let scores = &mut rest[..l * l];
-        self.q.infer_into(x, batch, l, q_buf, false, qbuf);
-        self.k.infer_into(x, batch, l, k_buf, false, qbuf);
-        self.v.infer_into(x, batch, l, v_buf, false, qbuf);
+        self.q.infer_into(x, batch, l, q_buf, false);
+        self.k.infer_into(x, batch, l, k_buf, false);
+        self.v.infer_into(x, batch, l, v_buf, false);
         // Attention: scores row-by-row, softmax, attended values → buf_b.
         let inv_sqrt_d = 1.0 / (d as f32).sqrt();
         for bi in 0..batch {
@@ -542,11 +550,8 @@ impl FrozenTransBlock {
                 }
             }
         }
-        if let Some(r) = ranges.as_deref_mut() {
-            r.attn_out = r.attn_out.max(maxabs(&buf_b[..n]));
-        }
         // Output projection → buf_c, residual add onto x, BN1 affine.
-        self.o.infer_into(&buf_b[..n], batch, l, buf_c, false, qbuf);
+        self.o.infer_into(&buf_b[..n], batch, l, buf_c, false);
         for bi in 0..batch {
             for c in 0..d {
                 let base = (bi * d + c) * l;
@@ -557,17 +562,10 @@ impl FrozenTransBlock {
                 }
             }
         }
-        if let Some(r) = ranges.as_deref_mut() {
-            r.bn1_out = r.bn1_out.max(maxabs(&buf_a[..n]));
-        }
         // FFN: d → 2d (ReLU) → d, residual, BN2 affine.
-        self.ffn1
-            .infer_into(&buf_a[..n], batch, l, buf_b, true, qbuf);
-        if let Some(r) = ranges {
-            r.ffn_hidden = r.ffn_hidden.max(maxabs(&buf_b[..batch * 2 * d * l]));
-        }
+        self.ffn1.infer_into(&buf_a[..n], batch, l, buf_b, true);
         self.ffn2
-            .infer_into(&buf_b[..batch * 2 * d * l], batch, l, buf_c, false, qbuf);
+            .infer_into(&buf_b[..batch * 2 * d * l], batch, l, buf_c, false);
         for bi in 0..batch {
             for c in 0..d {
                 let base = (bi * d + c) * l;
@@ -595,13 +593,13 @@ impl FrozenTransBlock {
     }
 }
 
-/// The frozen serving form of a [`TransAppNet`], at either precision —
+/// The frozen serving form of a [`TransAppNet`] —
 /// embedding BN folded into the embedding conv (ReLU fused), block
 /// BatchNorms applied as per-channel affines, attention run inside the
 /// arena's aux scratch with zero steady-state allocations.
 #[derive(Debug, Clone)]
 pub struct FrozenTransApp {
-    embed: PlanConv,
+    embed: FrozenConv,
     blocks: Vec<FrozenTransBlock>,
     head_weight: Vec<f32>,
     head_bias: Vec<f32>,
@@ -625,14 +623,14 @@ impl FrozenTransApp {
                 let (bn1_scale, bn1_shift) = b.bn1.inference_affine();
                 let (bn2_scale, bn2_shift) = b.bn2.inference_affine();
                 FrozenTransBlock {
-                    q: PlanConv::F32(FrozenConv::from_conv(&b.q)),
-                    k: PlanConv::F32(FrozenConv::from_conv(&b.k)),
-                    v: PlanConv::F32(FrozenConv::from_conv(&b.v)),
-                    o: PlanConv::F32(FrozenConv::from_conv(&b.o)),
+                    q: FrozenConv::from_conv(&b.q),
+                    k: FrozenConv::from_conv(&b.k),
+                    v: FrozenConv::from_conv(&b.v),
+                    o: FrozenConv::from_conv(&b.o),
                     bn1_scale,
                     bn1_shift,
-                    ffn1: PlanConv::F32(FrozenConv::from_conv(&b.ffn1)),
-                    ffn2: PlanConv::F32(FrozenConv::from_conv(&b.ffn2)),
+                    ffn1: FrozenConv::from_conv(&b.ffn1),
+                    ffn2: FrozenConv::from_conv(&b.ffn2),
                     bn2_scale,
                     bn2_shift,
                     d: b.d,
@@ -640,7 +638,7 @@ impl FrozenTransApp {
             })
             .collect();
         FrozenTransApp {
-            embed: PlanConv::F32(FrozenConv::fold(&net.embed, &net.embed_bn)),
+            embed: FrozenConv::fold(&net.embed, &net.embed_bn),
             blocks,
             head_weight: net.head.weight.clone(),
             head_bias: net.head.bias.clone(),
@@ -651,42 +649,8 @@ impl FrozenTransApp {
         }
     }
 
-    /// Quantize this f32 plan into an int8 plan, calibrating every conv's
-    /// input activation scale by replaying `calib` through the f32 path.
-    /// Attention math, residual adds and the BN affines stay f32.
-    pub fn quantize(&self, calib: &Tensor) -> FrozenTransApp {
-        let mut ranges = vec![TransRanges::default(); self.blocks.len()];
-        self.forward(calib, &mut InferenceArena::new(), Some(&mut ranges));
-        let blocks = self
-            .blocks
-            .iter()
-            .zip(&ranges)
-            .map(|(b, r)| FrozenTransBlock {
-                q: b.q.quantize(r.input),
-                k: b.k.quantize(r.input),
-                v: b.v.quantize(r.input),
-                o: b.o.quantize(r.attn_out),
-                ffn1: b.ffn1.quantize(r.bn1_out),
-                ffn2: b.ffn2.quantize(r.ffn_hidden),
-                ..b.clone()
-            })
-            .collect();
-        FrozenTransApp {
-            embed: self.embed.quantize(calib.max_abs()),
-            blocks,
-            head_weight: self.head_weight.clone(),
-            head_bias: self.head_bias.clone(),
-            ..*self
-        }
-    }
-
     fn aux_len(&self, batch: usize, l: usize) -> usize {
         3 * batch * self.d * l + l * l
-    }
-
-    /// Whether this plan was built by [`FrozenTransApp::quantize`].
-    pub fn is_int8(&self) -> bool {
-        self.embed.is_int8()
     }
 
     /// Kernel size of the convolutional embedding.
@@ -713,39 +677,19 @@ impl FrozenTransApp {
     /// [`crate::frozen::FrozenResNet::predict_into`]: zero heap
     /// allocations once the arena has seen the shape.
     pub fn predict_into(&self, x: &Tensor, arena: &mut InferenceArena) {
-        let _span = ds_obs::span!(if self.is_int8() {
-            "frozen.forward.int8"
-        } else {
-            "frozen.forward"
-        });
-        self.forward(x, arena, None);
-    }
-
-    /// [`FrozenTransApp::predict_into`] without the span; `ranges` (one
-    /// record per block) collects activation max-abs when calibrating.
-    fn forward(
-        &self,
-        x: &Tensor,
-        arena: &mut InferenceArena,
-        mut ranges: Option<&mut [TransRanges]>,
-    ) {
+        let _span = ds_obs::span!("frozen.forward");
         let (b, c, l) = x.shape();
         assert_eq!(c, self.in_channels, "frozen input channel mismatch");
         assert!(b > 0 && l > 0, "frozen forward needs a non-empty batch");
         let mc = self.max_channels();
-        if self.is_int8() {
-            arena.ensure_quant(b, l, mc, self.d, self.num_classes);
-        } else {
-            arena.ensure(b, l, mc, self.d, self.num_classes);
-        }
+        arena.ensure(b, l, mc, self.d, self.num_classes);
         arena.ensure_aux(self.aux_len(b, l));
-        let (buf_a, buf_b, buf_c, qbuf, aux, pooled, logits, softmax, probs, cams) = arena.parts();
+        let (buf_a, buf_b, buf_c, aux, pooled, logits, softmax, probs, cams) = arena.parts();
         self.embed
-            .infer_into(&x.data[..b * c * l], b, l, buf_b, true, qbuf);
+            .infer_into(&x.data[..b * c * l], b, l, buf_b, true);
         buf_a[..b * self.d * l].copy_from_slice(&buf_b[..b * self.d * l]);
-        for (i, block) in self.blocks.iter().enumerate() {
-            let r = ranges.as_deref_mut().map(|r| &mut r[i]);
-            block.infer_into(buf_a, buf_b, buf_c, aux, qbuf, b, l, r);
+        for block in &self.blocks {
+            block.infer_into(buf_a, buf_b, buf_c, aux, b, l);
         }
         let feats = &buf_a[..b * self.d * l];
         finish_forward(
@@ -916,48 +860,22 @@ mod tests {
     }
 
     #[test]
-    fn quantized_plan_matches_frozen_decisions() {
-        let mut net = TransAppNet::new(tiny_config(5, 9));
-        warm_bn(&mut net, 24);
-        let frozen = FrozenTransApp::freeze(&net);
-        assert!(!frozen.is_int8());
-        let quant = frozen.quantize(&sample_input(8, 1, 24, 11));
-        assert!(quant.is_int8());
-        let x = sample_input(4, 1, 24, 2);
-        let mut fa = InferenceArena::new();
-        let mut qa = InferenceArena::new();
-        frozen.predict_into(&x, &mut fa);
-        quant.predict_into(&x, &mut qa);
-        for bi in 0..4 {
-            let (fp, qp) = (fa.probs()[bi], qa.probs()[bi]);
-            assert!((fp - qp).abs() < 0.05, "prob drift {fp} vs {qp}");
-            if (fp - 0.5).abs() > 0.05 {
-                assert_eq!(fp > 0.5, qp > 0.5, "decision flip");
-            }
-        }
-    }
-
-    #[test]
     fn steady_state_predict_allocates_nothing() {
         let mut net = TransAppNet::new(tiny_config(5, 13));
         warm_bn(&mut net, 20);
-        for plan in [
-            FrozenTransApp::freeze(&net),
-            FrozenTransApp::freeze(&net).quantize(&sample_input(4, 1, 20, 1)),
-        ] {
-            let x = sample_input(3, 1, 20, 2);
-            let mut arena = InferenceArena::new();
-            plan.predict_into(&x, &mut arena); // warmup sizes the arena
-            let before = ds_obs::alloc_count();
-            for _ in 0..8 {
-                plan.predict_into(&x, &mut arena);
-            }
-            assert_eq!(
-                ds_obs::alloc_count(),
-                before,
-                "steady-state frozen transapp forward must not allocate"
-            );
+        let plan = FrozenTransApp::freeze(&net);
+        let x = sample_input(3, 1, 20, 2);
+        let mut arena = InferenceArena::new();
+        plan.predict_into(&x, &mut arena); // warmup sizes the arena
+        let before = ds_obs::alloc_count();
+        for _ in 0..8 {
+            plan.predict_into(&x, &mut arena);
         }
+        assert_eq!(
+            ds_obs::alloc_count(),
+            before,
+            "steady-state frozen transapp forward must not allocate"
+        );
     }
 
     #[test]

@@ -83,19 +83,6 @@ fn str_field<'v>(body: &'v Value, name: &str) -> Result<&'v str, ApiError> {
         .ok_or_else(|| bad("missing_field", &format!("field '{name}' must be a string")))
 }
 
-fn precision_field(body: &Value) -> Result<Precision, ApiError> {
-    match body.get("precision") {
-        None | Some(Value::Null) => Ok(Precision::F32),
-        Some(v) => {
-            let label = v
-                .as_str()
-                .ok_or_else(|| bad("bad_precision", "field 'precision' must be a string"))?;
-            Precision::parse(label)
-                .ok_or_else(|| bad("bad_precision", "precision must be 'f32' or 'int8'"))
-        }
-    }
-}
-
 fn backbone_field(body: &Value) -> Result<Backbone, ApiError> {
     match body.get("backbone") {
         // Absent means the paper's default architecture, mirroring the
@@ -147,12 +134,20 @@ fn values_field(body: &Value, allow_gaps: bool) -> Result<Vec<f32>, ApiError> {
 }
 
 fn plan_key(body: &Value, window: usize) -> Result<PlanKey, ApiError> {
+    // Every plan is f32; a client still naming a precision gets told so
+    // instead of having the field silently ignored.
+    if body.get("precision").is_some() {
+        return Err(bad(
+            "unsupported_field",
+            "field 'precision' is not supported: every plan serves f32",
+        ));
+    }
     Ok(PlanKey {
         preset: str_field(body, "preset")?.to_string(),
         appliance: str_field(body, "appliance")?.to_string(),
         window,
         backbone: backbone_field(body)?,
-        precision: precision_field(body)?,
+        precision: Precision::F32,
     })
 }
 
@@ -165,13 +160,6 @@ fn plan_error(err: PlanError) -> ApiError {
             error_body(
                 "unknown_plan",
                 "no model registered for (preset, appliance, window, backbone)",
-            ),
-        ),
-        PlanError::NoCalibration => (
-            404,
-            error_body(
-                "no_calibration",
-                "int8 requested but the model has no calibration set",
             ),
         ),
     }
@@ -265,7 +253,6 @@ fn window_response(
     obj.insert("detected".to_string(), Value::from(reply.detected));
     obj.insert("window".to_string(), Value::from(key.window));
     obj.insert("backbone".to_string(), Value::from(key.backbone.label()));
-    obj.insert("precision".to_string(), Value::from(key.precision.label()));
     let members: Vec<Value> = reply
         .members
         .iter()
@@ -500,7 +487,6 @@ fn stats_body(shared: &Arc<Shared>) -> String {
             p.insert("appliance".to_string(), Value::from(key.appliance));
             p.insert("window".to_string(), Value::from(key.window));
             p.insert("backbone".to_string(), Value::from(key.backbone.label()));
-            p.insert("precision".to_string(), Value::from(key.precision.label()));
             p.insert("arena_bytes".to_string(), Value::from(arena_bytes));
             Value::Object(p)
         })

@@ -1,20 +1,21 @@
 //! ds-serve: a zero-dependency HTTP/1.1 serving front for frozen CamAL
 //! plans with **cross-request micro-batching**.
 //!
-//! PR 7–8 made the single-request path fast (frozen + SIMD + int8,
-//! streaming reuse); this crate serves it to a fleet. The server is plain
-//! `std`: a `TcpListener` accept loop, one detached thread per live
-//! connection (bounded), and a fixed pool of inference workers — no async
-//! runtime, mirroring the hand-rolled ds-par worker-team style.
+//! The single-request path is fast in-process (frozen f32 plans, SIMD
+//! kernels, streaming reuse); this crate serves it to a fleet. The
+//! server is plain `std`: a `TcpListener` accept loop, one detached
+//! thread per live connection (bounded), and a fixed pool of inference
+//! workers — no async runtime, mirroring the hand-rolled ds-par
+//! worker-team style.
 //!
 //! ## The perf core: the micro-batch collector
 //!
 //! A lone HTTP request would pay a one-window `localize_batch_into` call,
 //! wasting the [`ds_camal`] arena's `WINDOW_CHUNK = 16` batch slots the
 //! frozen kernels were shaped for. Instead, every `detect`/`localize`
-//! request is queued into a [collector](batch) keyed by
-//! [`PlanKey`](registry::PlanKey) = (preset, appliance, window length,
-//! precision). A batch dispatches when it **fills** (16 windows) or when
+//! request is queued into a collector (the private `batch` module) keyed
+//! by [`PlanKey`] = (preset, appliance, window length,
+//! backbone). A batch dispatches when it **fills** (16 windows) or when
 //! its **deadline** expires (`max_wait`, default 2 ms) — p99 latency is
 //! traded explicitly against req/s instead of every request paying an
 //! under-filled kernel call. Batching cannot change results: windows in a

@@ -1,11 +1,10 @@
 //! Model registration and exactly-once plan freezing.
 //!
-//! An application registers *trained* [`Camal`] models (plus their int8
-//! calibration windows) once; the serving path then materializes frozen
-//! plans lazily, one per [`PlanKey`]. The freeze is guarded by a
-//! per-key `OnceLock`, so N racing requests for a cold key perform
-//! exactly one freeze — the others block on the cell and share the
-//! resulting `Arc`. `tests/serve_concurrency.rs` hammers this from many
+//! An application registers *trained* [`Camal`] models once; the serving
+//! path then materializes frozen plans lazily, one per [`PlanKey`]. The
+//! freeze is guarded by a per-key `OnceLock`, so N racing requests for a
+//! cold key perform exactly one freeze — the others block on the cell and
+//! share the resulting `Arc`. `tests/serve_concurrency.rs` hammers this from many
 //! threads and asserts the single-freeze property.
 //!
 //! The frozen template is warmed with one full-chunk pass before it is
@@ -36,7 +35,8 @@ pub struct PlanKey {
     /// Part of the key so plans of different backbones never alias in the
     /// freeze cache, micro-batcher, or streaming sessions.
     pub backbone: Backbone,
-    /// Numeric precision of the frozen plan (f32 or int8).
+    /// Always [`Precision::F32`]. Kept only so `perfbench/` compiles
+    /// unchanged; the next benchmark PR removes it.
     pub precision: Precision,
 }
 
@@ -45,13 +45,6 @@ pub struct PlanKey {
 pub enum PlanError {
     /// No model registered under (preset, appliance, window) → 404.
     UnknownModel,
-    /// Int8 requested but the model registered no calibration windows.
-    NoCalibration,
-}
-
-struct ModelEntry {
-    camal: Camal,
-    calib: Vec<Vec<f32>>,
 }
 
 type ModelId = (String, String, usize, Backbone);
@@ -60,7 +53,7 @@ type PlanCell = Arc<OnceLock<Arc<FrozenCamal>>>;
 /// Registered models plus the frozen-plan cache derived from them.
 #[derive(Default)]
 pub struct ModelRegistry {
-    models: Mutex<BTreeMap<ModelId, ModelEntry>>,
+    models: Mutex<BTreeMap<ModelId, Camal>>,
     plans: Mutex<BTreeMap<PlanKey, PlanCell>>,
     freezes: AtomicU64,
 }
@@ -73,22 +66,22 @@ impl ModelRegistry {
     /// Register a trained model under (preset, appliance, window,
     /// backbone) — the backbone is read off the model itself (its lead
     /// backbone), so one (preset, appliance, window) slot can hold one
-    /// model per architecture side by side. `calib` enables int8 plans;
-    /// pass an empty vec to serve f32 only. Re-registering replaces the
+    /// model per architecture side by side. Re-registering replaces the
     /// model but NOT already-frozen plans (frozen plans are immutable for
-    /// the server's lifetime).
+    /// the server's lifetime). `_unused` is kept only so `perfbench/`
+    /// compiles unchanged; the next benchmark PR removes it.
     pub fn register(
         &self,
         preset: &str,
         appliance: &str,
         window: usize,
         camal: Camal,
-        calib: Vec<Vec<f32>>,
+        _unused: Vec<Vec<f32>>,
     ) {
         let backbone = camal.config().lead_backbone();
         self.models.lock().unwrap().insert(
             (preset.to_string(), appliance.to_string(), window, backbone),
-            ModelEntry { camal, calib },
+            camal,
         );
     }
 
@@ -101,19 +94,10 @@ impl ModelRegistry {
     /// queueing a job so unknown plans 404 at submit time instead of
     /// occupying queue slots.
     pub fn check(&self, key: &PlanKey) -> Result<(), PlanError> {
-        let models = self.models.lock().unwrap();
-        let id = (
-            key.preset.clone(),
-            key.appliance.clone(),
-            key.window,
-            key.backbone,
-        );
-        match models.get(&id) {
-            None => Err(PlanError::UnknownModel),
-            Some(entry) if key.precision == Precision::Int8 && entry.calib.is_empty() => {
-                Err(PlanError::NoCalibration)
-            }
-            Some(_) => Ok(()),
+        if self.models.lock().unwrap().contains_key(&model_id(key)) {
+            Ok(())
+        } else {
+            Err(PlanError::UnknownModel)
         }
     }
 
@@ -147,29 +131,31 @@ impl ModelRegistry {
             ds_obs::counter_add("cache.serve_plan.hits", 1);
             return Ok(plan.clone());
         }
-        let (camal, calib) = {
-            let models = self.models.lock().unwrap();
-            let id = (
-                key.preset.clone(),
-                key.appliance.clone(),
-                key.window,
-                key.backbone,
-            );
-            let entry = models.get(&id).ok_or(PlanError::UnknownModel)?;
-            (entry.camal.clone(), entry.calib.clone())
-        };
+        let camal = self
+            .models
+            .lock()
+            .unwrap()
+            .get(&model_id(key))
+            .ok_or(PlanError::UnknownModel)?
+            .clone();
         let plan = cell.get_or_init(|| {
             self.freezes.fetch_add(1, Ordering::Relaxed);
             ds_obs::counter_add("cache.serve_plan.misses", 1);
-            let mut frozen = match key.precision {
-                Precision::Int8 => camal.freeze_quantized(&calib),
-                _ => camal.freeze(),
-            };
+            let mut frozen = camal.freeze();
             warm(&mut frozen, key.window);
             Arc::new(frozen)
         });
         Ok(plan.clone())
     }
+}
+
+fn model_id(key: &PlanKey) -> ModelId {
+    (
+        key.preset.clone(),
+        key.appliance.clone(),
+        key.window,
+        key.backbone,
+    )
 }
 
 /// Run one full-chunk pass of flat windows through a fresh plan so every
@@ -212,36 +198,23 @@ mod tests {
         Camal::from_parts(ens, cfg)
     }
 
-    fn key(window: usize, precision: Precision) -> PlanKey {
+    fn key(window: usize) -> PlanKey {
         PlanKey {
             preset: "TEST".into(),
             appliance: "kettle".into(),
             window,
             backbone: Backbone::ResNet,
-            precision,
+            precision: Precision::F32,
         }
     }
 
     #[test]
     fn unknown_model_is_rejected_before_any_freeze() {
         let registry = ModelRegistry::new();
-        let err = registry
-            .get_or_freeze(&key(32, Precision::F32))
-            .unwrap_err();
+        let err = registry.get_or_freeze(&key(32)).unwrap_err();
         assert_eq!(err, PlanError::UnknownModel);
         assert_eq!(registry.freeze_count(), 0);
         assert!(registry.frozen_plans().is_empty());
-    }
-
-    #[test]
-    fn int8_without_calibration_is_a_typed_error() {
-        let registry = ModelRegistry::new();
-        registry.register("TEST", "kettle", 32, tiny_model(32), Vec::new());
-        let err = registry
-            .get_or_freeze(&key(32, Precision::Int8))
-            .unwrap_err();
-        assert_eq!(err, PlanError::NoCalibration);
-        assert!(registry.get_or_freeze(&key(32, Precision::F32)).is_ok());
     }
 
     #[test]
@@ -260,13 +233,13 @@ mod tests {
                 Backbone::ResNet
             )]
         );
-        let mut inception = key(32, Precision::F32);
+        let mut inception = key(32);
         inception.backbone = Backbone::Inception;
         assert_eq!(
             registry.get_or_freeze(&inception).unwrap_err(),
             PlanError::UnknownModel
         );
-        assert!(registry.get_or_freeze(&key(32, Precision::F32)).is_ok());
+        assert!(registry.get_or_freeze(&key(32)).is_ok());
         assert_eq!(registry.freeze_count(), 1);
     }
 
@@ -274,8 +247,8 @@ mod tests {
     fn repeat_gets_share_one_frozen_plan() {
         let registry = ModelRegistry::new();
         registry.register("TEST", "kettle", 32, tiny_model(32), Vec::new());
-        let a = registry.get_or_freeze(&key(32, Precision::F32)).unwrap();
-        let b = registry.get_or_freeze(&key(32, Precision::F32)).unwrap();
+        let a = registry.get_or_freeze(&key(32)).unwrap();
+        let b = registry.get_or_freeze(&key(32)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(registry.freeze_count(), 1);
         // The published template is warm: its arena footprint is nonzero.

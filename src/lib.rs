@@ -12,7 +12,7 @@
 //! - [`camal`] — **CamAL**, the paper's contribution.
 //! - [`baselines`] — the 6 benchmark baselines.
 //! - [`app`] — the DeviceScope terminal application.
-//! - [`bench`] — the experiment harness (Figure 3, benchmark grid, claims,
+//! - [`bench`](mod@bench) — the experiment harness (Figure 3, benchmark grid, claims,
 //!   ablations).
 //! - [`par`] — the data-parallel substrate behind batched inference.
 //! - [`serve`] — the micro-batching HTTP serving layer over frozen plans.

@@ -2,12 +2,9 @@
 //! (ResNet, Inception, TransApp) must honor the same frozen-plan
 //! contract the original ResNet path established in `frozen_plan.rs`:
 //!
-//! - f32 frozen plans reproduce the mutable path (probabilities within
+//! - frozen plans reproduce the mutable path (probabilities within
 //!   1e-4, CAMs within 1e-3, thresholded decisions identical) across
 //!   batch sizes `{1, 4, 17}` and under both kernel dispatches;
-//! - int8 plans calibrated on held-out windows stay within the drift
-//!   bound and keep every decision whose f32 probability clears the
-//!   threshold by more than that bound;
 //! - freezing after a checkpoint round-trip (ds-core `model_io`, the v2
 //!   format that tags each member with its backbone) is *bit* identical
 //!   to freezing the original model;
@@ -23,15 +20,8 @@ use ds_neural::simd::{self, SimdMode};
 use ds_neural::tensor::Tensor;
 use ds_neural::train::{train_classifier, TrainConfig};
 use ds_neural::{Backbone, DetectorNet, InferenceArena};
-use std::sync::Mutex;
 
 const WINDOW: usize = 64;
-
-/// Serializes the test that switches the process-global SIMD dispatch
-/// with the test that compares two int8 calibrations bit for bit: the
-/// calibration replay runs the dispatched f32 kernels, so a mode flip
-/// between the two quantize calls would move the activation scales.
-static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// A small linearly separable corpus: odd windows carry a burst.
 fn corpus(n: usize) -> (Vec<Vec<f32>>, Vec<u8>) {
@@ -58,16 +48,6 @@ fn eval_input(batch: usize) -> Tensor {
     Tensor::from_data(batch, 1, WINDOW, data)
 }
 
-/// Held-out calibration windows at a phase disjoint from [`eval_input`]
-/// but covering the same value range (see `frozen_plan.rs` for why
-/// calibrating on the training corpus would inflate drift).
-fn calib_input(batch: usize) -> Tensor {
-    let data: Vec<f32> = (0..batch * WINDOW)
-        .map(|i| (((i * 37 + 3) % 17) as f32 - 8.0) / 4.0 + (i as f32 * 0.07 + 1.0).sin())
-        .collect();
-    Tensor::from_data(batch, 1, WINDOW, data)
-}
-
 fn trained_net(backbone: Backbone, seed: u64) -> DetectorNet {
     let mut net = DetectorNet::for_backbone(backbone, 1, &[4, 8], 5, 2, seed);
     let (windows, labels) = corpus(16);
@@ -81,7 +61,7 @@ fn trained_net(backbone: Backbone, seed: u64) -> DetectorNet {
     net
 }
 
-/// The f32 contract: probabilities within 1e-4 of the mutable path,
+/// The frozen-plan contract: probabilities within 1e-4 of the mutable path,
 /// CAMs within 1e-3, thresholded decisions identical.
 fn assert_frozen_matches(net: &DetectorNet, label: &str) {
     let frozen = net.freeze();
@@ -127,7 +107,6 @@ fn frozen_plans_match_the_mutable_path_for_every_backbone() {
 /// path must each reproduce the mutable reference.
 #[test]
 fn backbone_contract_holds_under_both_dispatches() {
-    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (dispatch, mode) in [
         ("scalar", SimdMode::Scalar),
         // Falls back to scalar on hosts without AVX2 — the golden then
@@ -143,54 +122,10 @@ fn backbone_contract_holds_under_both_dispatches() {
     }
 }
 
-/// The int8 contract per backbone: probabilities within the drift
-/// bound of the f32 plan, and any decision whose f32 probability clears
-/// the threshold by more than that bound is identical. The conv
-/// backbones hold the ResNet-calibrated 0.05 bound; TransApp gets a
-/// wider one because its attention softmax amplifies int8 embedding
-/// error at probability tails (observed ~0.052 drift at f32 prob 0.02 —
-/// far from the decision threshold, but past the conv bound).
-#[test]
-fn quantized_plans_keep_decisions_for_every_backbone() {
-    for (i, backbone) in Backbone::ALL.into_iter().enumerate() {
-        let drift = match backbone {
-            Backbone::TransApp => 0.10f32,
-            _ => 0.05,
-        };
-        let net = trained_net(backbone, 800 + i as u64);
-        let frozen = net.freeze();
-        let quant = net.freeze_quantized(&calib_input(8));
-        assert_eq!(quant.backbone(), backbone, "tag lost over quantization");
-
-        let mut f32_arena = InferenceArena::new();
-        let mut int8_arena = InferenceArena::new();
-        for batch in [1usize, 4, 17] {
-            let x = eval_input(batch);
-            frozen.predict_into(&x, &mut f32_arena);
-            quant.predict_into(&x, &mut int8_arena);
-            for bi in 0..batch {
-                let fp = f32_arena.probs()[bi];
-                let qp = int8_arena.probs()[bi];
-                assert!(
-                    (fp - qp).abs() <= drift,
-                    "{backbone} b={batch}: prob drift {fp} vs {qp}"
-                );
-                if (fp - 0.5).abs() > drift {
-                    assert_eq!(
-                        fp > 0.5,
-                        qp > 0.5,
-                        "{backbone} b={batch}: quantized decision flipped at prob {fp}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Freezing after a save/load round-trip through the v2 checkpoint
 /// format must be *bit* identical to freezing the in-memory original —
 /// for a single-backbone model of each architecture and for a mixed
-/// ensemble, at f32 and at int8.
+/// ensemble.
 #[test]
 fn freeze_after_checkpoint_round_trip_is_bit_identical() {
     let (windows, labels) = corpus(16);
@@ -208,11 +143,6 @@ fn freeze_after_checkpoint_round_trip_is_bit_identical() {
         trained_camal(&windows, &labels, Backbone::ALL.to_vec()),
     ));
 
-    let calib: Vec<Vec<f32>> = {
-        let t = calib_input(8);
-        (0..8).map(|bi| t.row(bi, 0).to_vec()).collect()
-    };
-    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (label, model) in &zoo {
         let restored = model_io::from_json(&model_io::to_json(model)).unwrap();
         let member_tags = |m: &Camal| -> Vec<Backbone> {
@@ -230,12 +160,7 @@ fn freeze_after_checkpoint_round_trip_is_bit_identical() {
         assert_eq!(
             model.freeze().ensemble().param_bits(),
             restored.freeze().ensemble().param_bits(),
-            "{label}: f32 freeze not bit-identical after round-trip"
-        );
-        assert_eq!(
-            model.freeze_quantized(&calib).ensemble().param_bits(),
-            restored.freeze_quantized(&calib).ensemble().param_bits(),
-            "{label}: int8 freeze not bit-identical after round-trip"
+            "{label}: freeze not bit-identical after round-trip"
         );
     }
 }
@@ -256,13 +181,12 @@ fn trained_camal(windows: &[Vec<f32>], labels: &[u8], backbones: Vec<Backbone>) 
 }
 
 /// Steady-state inference against a warm arena allocates nothing — for
-/// every backbone, at f32 and at int8.
+/// every backbone.
 #[test]
 fn frozen_steady_state_allocates_nothing_for_every_backbone() {
     for (i, backbone) in Backbone::ALL.into_iter().enumerate() {
         let net = trained_net(backbone, 900 + i as u64);
         let frozen = net.freeze();
-        let quant = net.freeze_quantized(&calib_input(8));
         let inputs: Vec<Tensor> = [1usize, 4, 17].into_iter().map(eval_input).collect();
         let mut arena = InferenceArena::new();
         // Warm with the largest batch so every later shape fits.
@@ -274,19 +198,7 @@ fn frozen_steady_state_allocates_nothing_for_every_backbone() {
         assert_eq!(
             ds_obs::alloc_count(),
             before,
-            "{backbone}: steady-state f32 predict must not allocate"
-        );
-
-        let mut qarena = InferenceArena::new();
-        quant.predict_into(&eval_input(17), &mut qarena);
-        let before = ds_obs::alloc_count();
-        for x in &inputs {
-            quant.predict_into(x, &mut qarena);
-        }
-        assert_eq!(
-            ds_obs::alloc_count(),
-            before,
-            "{backbone}: steady-state int8 predict must not allocate"
+            "{backbone}: steady-state predict must not allocate"
         );
         // And the plan still matches the mutable path after arena reuse.
         assert_frozen_matches(&net, &format!("post-reuse {backbone}"));

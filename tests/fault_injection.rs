@@ -112,43 +112,6 @@ fn serving_survives_every_fault_class() {
     }
 }
 
-/// The int8 gate on the tri-state goldens: calibrated on the clean
-/// series' own windows, the quantized plan must reproduce the f32 frozen
-/// plan's tri-state decisions **exactly** — zero decision flips — on the
-/// clean series and under every fault class. Quantization bounds
-/// probability drift; it must never move a decision or an abstention.
-#[test]
-fn quantized_plan_matches_f32_decisions_on_tri_state_goldens() {
-    let (camal, clean) = fixture();
-    let calib: Vec<Vec<f32>> = clean
-        .values()
-        .chunks(WINDOW)
-        .filter(|c| c.len() == WINDOW)
-        .map(|c| c.to_vec())
-        .collect();
-    let mut frozen = camal.freeze();
-    let mut quantized = camal.freeze_quantized(&calib);
-
-    let f32_clean = frozen.predict_status_series(clean, WINDOW);
-    let int8_clean = quantized.predict_status_series(clean, WINDOW);
-    assert_eq!(
-        f32_clean.states(),
-        int8_clean.states(),
-        "clean series: quantized decisions flipped"
-    );
-
-    for spec in PLANS {
-        let faulted = FaultPlan::parse(spec).unwrap().apply(clean);
-        let f32_status = frozen.predict_status_series(&faulted.series, WINDOW);
-        let int8_status = quantized.predict_status_series(&faulted.series, WINDOW);
-        assert_eq!(
-            f32_status.states(),
-            int8_status.states(),
-            "{spec}: quantized decisions flipped under faults"
-        );
-    }
-}
-
 #[test]
 fn degradation_ticks_the_serve_counters() {
     let (camal, clean) = fixture();

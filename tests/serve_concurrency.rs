@@ -28,39 +28,36 @@ use devicescope::serve::{Client, ModelRegistry, PlanKey, ServeConfig, Server};
 const WINDOW: usize = 120;
 const PRESET: &str = "UKDALE_TEST";
 const APPLIANCE: &str = "kettle";
+/// A second registration of the same model, so the freeze hammer has two
+/// distinct plan keys to race on.
+const OTHER_APPLIANCE: &str = "microwave";
 
-/// One trained model plus calibration windows, built once per binary.
-fn fixture() -> &'static (Camal, Vec<Vec<f32>>) {
-    static FIXTURE: OnceLock<(Camal, Vec<Vec<f32>>)> = OnceLock::new();
+/// One trained model, built once per binary.
+fn fixture() -> &'static Camal {
+    static FIXTURE: OnceLock<Camal> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let ds = Dataset::generate(DatasetConfig::tiny(DatasetPreset::UkdaleLike, 4, 2));
         let mut corpus = Corpus::build(&ds, ApplianceKind::Kettle, WINDOW);
         corpus.balance_train(2);
-        let camal = Camal::train(&corpus, &CamalConfig::fast_test());
-        let calib: Vec<Vec<f32>> = corpus
-            .train
-            .iter()
-            .take(6)
-            .map(|w| w.values.clone())
-            .collect();
-        (camal, calib)
+        Camal::train(&corpus, &CamalConfig::fast_test())
     })
 }
 
 fn registry() -> Arc<ModelRegistry> {
-    let (camal, calib) = fixture();
     let reg = Arc::new(ModelRegistry::new());
-    reg.register(PRESET, APPLIANCE, WINDOW, camal.clone(), calib.clone());
+    for appliance in [APPLIANCE, OTHER_APPLIANCE] {
+        reg.register(PRESET, appliance, WINDOW, fixture().clone(), Vec::new());
+    }
     reg
 }
 
-fn key(precision: Precision) -> PlanKey {
+fn key(appliance: &str) -> PlanKey {
     PlanKey {
         preset: PRESET.to_string(),
-        appliance: APPLIANCE.to_string(),
+        appliance: appliance.to_string(),
         window: WINDOW,
         backbone: devicescope::camal::Backbone::ResNet,
-        precision,
+        precision: Precision::F32,
     }
 }
 
@@ -93,25 +90,25 @@ fn cold_key_freezes_exactly_once_per_plan() {
                 barrier.wait();
                 let mut plans = Vec::new();
                 for i in 0..iters {
-                    // Interleave both precisions from every thread so each
-                    // cell sees racing first-callers.
-                    let precision = if (t + i) % 2 == 0 {
-                        Precision::F32
+                    // Interleave both keys from every thread so each cell
+                    // sees racing first-callers.
+                    let appliance = if (t + i) % 2 == 0 {
+                        APPLIANCE
                     } else {
-                        Precision::Int8
+                        OTHER_APPLIANCE
                     };
                     plans.push((
-                        precision,
-                        reg.get_or_freeze(&key(precision)).expect("plan freezes"),
+                        appliance,
+                        reg.get_or_freeze(&key(appliance)).expect("plan freezes"),
                     ));
                 }
                 plans
             })
         })
         .collect();
-    let mut by_precision: Vec<(Precision, _)> = Vec::new();
+    let mut by_key: Vec<(&str, _)> = Vec::new();
     for handle in handles {
-        by_precision.extend(handle.join().expect("freeze hammer thread"));
+        by_key.extend(handle.join().expect("freeze hammer thread"));
     }
 
     // Two distinct keys were served, so exactly two freezes happened no
@@ -120,38 +117,47 @@ fn cold_key_freezes_exactly_once_per_plan() {
     assert_eq!(reg.frozen_plans().len(), 2);
 
     // Every caller for a key got the same shared plan.
-    for precision in [Precision::F32, Precision::Int8] {
-        let first = by_precision
+    for appliance in [APPLIANCE, OTHER_APPLIANCE] {
+        let first = by_key
             .iter()
-            .find(|(p, _)| *p == precision)
+            .find(|(a, _)| *a == appliance)
             .map(|(_, plan)| plan)
-            .expect("both precisions were exercised");
-        for (p, plan) in &by_precision {
-            if *p == precision {
+            .expect("both keys were exercised");
+        for (a, plan) in &by_key {
+            if *a == appliance {
                 assert!(Arc::ptr_eq(first, plan), "callers share one Arc plan");
             }
         }
     }
 
     // Warm hits after the race perform no further freezes.
-    let _ = reg.get_or_freeze(&key(Precision::F32)).unwrap();
+    let _ = reg.get_or_freeze(&key(APPLIANCE)).unwrap();
     assert_eq!(reg.freeze_count(), 2);
 }
 
 #[test]
-fn unknown_and_uncalibrated_plans_fail_cheaply() {
-    let (camal, _) = fixture();
-    let reg = Arc::new(ModelRegistry::new());
-    reg.register(PRESET, APPLIANCE, WINDOW, camal.clone(), Vec::new());
+fn unknown_plans_and_precision_fields_fail_cheaply() {
+    let reg = registry();
     let missing = PlanKey {
         appliance: "dishwasher".to_string(),
-        ..key(Precision::F32)
+        ..key(APPLIANCE)
     };
     assert!(reg.get_or_freeze(&missing).is_err());
-    assert!(
-        reg.get_or_freeze(&key(Precision::Int8)).is_err(),
-        "no calib"
-    );
+
+    // Every plan is f32: a body still naming a precision, whatever its
+    // value, is a typed 400 rather than a silently ignored field.
+    let server = Server::start(ServeConfig::default(), Arc::clone(&reg)).expect("server binds");
+    let mut client = Client::connect(&server.addr().to_string()).expect("client connects");
+    let values = localize_body(&request_window(0));
+    for precision in ["\"f32\"", "\"fp16\"", "null"] {
+        let body = values.replacen('{', &format!("{{\"precision\":{precision},"), 1);
+        for path in ["/api/v1/detect", "/api/v1/localize"] {
+            let (status, reply) = client.post(path, &body).expect("request completes");
+            assert_eq!(status, 400, "{path} {precision}: {reply}");
+            assert!(reply.contains("unsupported_field"), "{reply}");
+        }
+    }
+    server.shutdown();
     assert_eq!(reg.freeze_count(), 0, "failed lookups never freeze");
 }
 
@@ -190,7 +196,7 @@ fn fire(addr: &str, bodies: &Arc<Vec<String>>, connections: usize) -> Vec<(u16, 
 
 #[test]
 fn batched_answers_match_the_direct_plan_and_are_composition_invariant() {
-    let (camal, _) = fixture();
+    let camal = fixture();
     let requests = 48;
     let windows: Vec<Vec<f32>> = (0..requests).map(request_window).collect();
     let bodies: Arc<Vec<String>> = Arc::new(windows.iter().map(|w| localize_body(w)).collect());

@@ -9,7 +9,7 @@
 //! — and every absorbed clean window's probability / CAM / status slab
 //! equals the batch plan's output bitwise. Property-tested across push
 //! stride × fault class (the `DS_FAULT` grammar, applied in-process with
-//! varied seeds) × worker-team size × precision (f32 / int8).
+//! varied seeds) × worker-team size.
 
 use std::sync::OnceLock;
 
@@ -22,10 +22,10 @@ use proptest::prelude::*;
 
 const WINDOW: usize = 120;
 
-/// One trained model, one clean multi-window series with a ragged tail,
-/// and the calibration windows for the int8 plan — built once per binary.
-fn fixture() -> &'static (Camal, TimeSeries, Vec<Vec<f32>>) {
-    static FIXTURE: OnceLock<(Camal, TimeSeries, Vec<Vec<f32>>)> = OnceLock::new();
+/// One trained model and one clean multi-window series with a ragged
+/// tail — built once per binary.
+fn fixture() -> &'static (Camal, TimeSeries) {
+    static FIXTURE: OnceLock<(Camal, TimeSeries)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let ds = Dataset::generate(DatasetConfig::tiny(DatasetPreset::UkdaleLike, 4, 2));
         let mut corpus = Corpus::build(&ds, ApplianceKind::Kettle, WINDOW);
@@ -40,13 +40,7 @@ fn fixture() -> &'static (Camal, TimeSeries, Vec<Vec<f32>>) {
         values.extend(&corpus.train[0].values[..47]);
         let series = TimeSeries::from_values(0, 60, values);
         assert!(!series.has_missing());
-        let calib: Vec<Vec<f32>> = corpus
-            .train
-            .iter()
-            .take(6)
-            .map(|w| w.values.clone())
-            .collect();
-        (camal, series, calib)
+        (camal, series)
     })
 }
 
@@ -63,7 +57,7 @@ proptest! {
 
     /// Streamed status (and absorbed-window artifacts) equal the batch
     /// frozen path bitwise at every push, under every combination of
-    /// arrival stride, fault class, team size and precision.
+    /// arrival stride, fault class and team size.
     #[test]
     fn streaming_camal_matches_batch_bitwise(
         stride in prop::sample::select(vec![7usize, 30, 60, 90, 120, 133, 1024]),
@@ -78,9 +72,8 @@ proptest! {
         ]),
         fault_seed in 0u64..1_000,
         threads in prop::sample::select(vec![1usize, 2]),
-        int8 in prop::sample::select(vec![false, true]),
     ) {
-        let (camal, clean, calib) = fixture();
+        let (camal, clean) = fixture();
         let series = if spec.is_empty() {
             clean.clone()
         } else {
@@ -88,18 +81,9 @@ proptest! {
         };
         let _guard = ThreadGuard;
         ds_par::set_threads(Some(threads));
-        let mut batch = if int8 {
-            camal.freeze_quantized(calib)
-        } else {
-            camal.freeze()
-        };
-        let plan = if int8 {
-            camal.freeze_quantized(calib)
-        } else {
-            camal.freeze()
-        };
+        let mut batch = camal.freeze();
         let mut stream =
-            StreamingCamal::new(plan, WINDOW, series.len().div_ceil(WINDOW).max(1));
+            StreamingCamal::new(camal.freeze(), WINDOW, series.len().div_ceil(WINDOW).max(1));
         let values = series.values();
         let mut stream_states = Vec::new();
         let mut batch_states = Vec::new();
@@ -112,8 +96,8 @@ proptest! {
             batch.predict_status_into(&prefix, WINDOW, &mut batch_states);
             prop_assert_eq!(
                 &stream_states, &batch_states,
-                "prefix {} (stride {}, spec {:?}, int8 {}) diverged",
-                hi, stride, spec, int8
+                "prefix {} (stride {}, spec {:?}) diverged",
+                hi, stride, spec
             );
             lo = hi;
         }
