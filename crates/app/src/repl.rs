@@ -253,12 +253,10 @@ impl Repl {
                             match ds_serve::Server::start(config, registry) {
                                 Ok(handle) => {
                                     let mut out = format!(
-                                        "serving {} model(s) at http://{} \
-                                         ({} worker(s), micro-batch up to {} windows)\n",
+                                        "serving {} model(s) at http://{} ({} worker(s))\n",
                                         plans.len(),
                                         handle.addr(),
                                         workers.max(1),
-                                        handle.batch_windows(),
                                     );
                                     for (preset, appliance, window, backbone) in &plans {
                                         out.push_str(&format!(
@@ -284,19 +282,13 @@ impl Repl {
                         let stats = handle.stats();
                         format!(
                             "serving at http://{}\n\
-                             \x20 requests {}  rejected {}  client errors {}\n\
-                             \x20 batches {} (full {}, deadline {})  \
-                             mean fill {:.2}/{}\n\
-                             \x20 steady-state allocs in the batch kernel: {}\n",
+                             \x20 requests {}  rejected {}  client errors {}  queued {}\n\
+                             \x20 steady-state allocs in the kernel: {}\n",
                             handle.addr(),
                             stats.requests.load(Relaxed),
                             stats.rejected.load(Relaxed),
                             stats.client_errors.load(Relaxed),
-                            stats.batches.load(Relaxed),
-                            stats.full_batches.load(Relaxed),
-                            stats.deadline_batches.load(Relaxed),
-                            stats.mean_batch_fill(handle.batch_windows()),
-                            handle.batch_windows(),
+                            handle.queue_depth(),
                             stats.steady_allocs.load(Relaxed),
                         )
                     }

@@ -137,7 +137,7 @@ impl SeqNet {
 }
 
 impl VisitParams for SeqNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         for layer in &mut self.layers {
             match layer {
                 SeqLayer::Conv(c) => c.visit_params(f),

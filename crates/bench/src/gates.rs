@@ -116,7 +116,7 @@ pub const GATES: &[Gate] = &[
     // ≥5× amortized at 75% overlap. The advantage is work avoided, not
     // instructions vectorized, so it survives scalar dispatch mostly.
     frozen("streaming_predict", 5.0, 3.0),
-    // The micro-batching HTTP server against direct in-process calls:
+    // The HTTP server against direct in-process calls:
     // parity-ish is the expected shape, so the floor only rejects a
     // collapse. The server's own steady-state allocation counter must
     // read zero, and the published throughput and latency SLOs hold.

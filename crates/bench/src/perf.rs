@@ -105,8 +105,6 @@ pub struct ServeStats {
     /// 99th-percentile per-request latency, milliseconds. The published
     /// SLO is 50 ms; the regression sentinel enforces it.
     pub p99_ms: f64,
-    /// Mean micro-batch fill ratio in `[0, 1]`.
-    pub mean_batch_fill: f64,
     /// Non-200 responses during the timed phase (zero in a published
     /// report: the main server is provisioned for the schedule).
     pub errors: u64,
@@ -862,10 +860,9 @@ fn streaming_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
 /// ([`crate::serveload`]) against the direct-call baseline over the same
 /// request sequence. The "baseline" is sequential in-process
 /// single-window plan calls (what clients would pay with no server), the
-/// "optimized" path is the full micro-batching HTTP server — so the
-/// speedup reads as "what serving costs (HTTP + JSON framing) net of
-/// what cross-request batching recovers", and parity-ish values are the
-/// expected shape. `bit_identical` means every serving contract held: the
+/// "optimized" path is the full HTTP server — so the speedup reads as
+/// "what serving costs (HTTP + JSON framing, queueing) net of what the
+/// worker pool recovers", and parity-ish values are the expected shape. `bit_identical` means every serving contract held: the
 /// oracle saw zero decision flips, the main phase saw no non-200s, the
 /// streaming push smoke got 200s, and the overload probe both shed load
 /// (503s) and served some (200s), then recovered. `allocs_per_window` is
@@ -896,7 +893,6 @@ fn serve_throughput_case(scale: PerfScale, model: &Camal) -> PerfCase {
         req_per_sec: report.req_per_sec,
         p50_ms: report.p50_ms,
         p99_ms: report.p99_ms,
-        mean_batch_fill: report.mean_batch_fill,
         errors: report.errors,
     });
     case
@@ -1145,12 +1141,8 @@ pub fn render(report: &PerfReport) -> String {
             if let Some(serve) = &case.serve {
                 out.push_str(&format!(
                     "serving: {:.0} req/s, p50 {:.2} ms, p99 {:.2} ms (SLO 50 ms), \
-                     batch fill {:.2}, {} errors\n",
-                    serve.req_per_sec,
-                    serve.p50_ms,
-                    serve.p99_ms,
-                    serve.mean_batch_fill,
-                    serve.errors,
+                     {} errors\n",
+                    serve.req_per_sec, serve.p50_ms, serve.p99_ms, serve.errors,
                 ));
             }
         }

@@ -402,7 +402,6 @@ mod tests {
             req_per_sec: 2000.0,
             p50_ms: 4.0,
             p99_ms,
-            mean_batch_fill: 0.5,
             errors: 0,
         });
         case

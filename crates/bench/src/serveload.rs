@@ -1,4 +1,4 @@
-//! Closed-loop load harness for the ds-serve micro-batching server,
+//! Closed-loop load harness for the ds-serve HTTP server,
 //! behind the perf suite's `serve_throughput` case.
 //!
 //! Simulates a fleet of meters reporting at mixed cadences — 30 s, 1 min
@@ -13,12 +13,12 @@
 //!
 //! - **Decisions**: every 200 response is diffed against a per-request
 //!   oracle computed with direct [`ds_camal::FrozenCamal`] calls. The
-//!   micro-batcher must reproduce the detection flag and status mask
+//!   server must reproduce the detection flag and status mask
 //!   exactly and the probability within `1e-6` (a shortest-round-trip
 //!   float survives the JSON hop well inside that). `flips` counts
 //!   violations; a published run has zero.
 //! - **Allocations**: the server's `steady_allocs` counter (heap events
-//!   inside batched kernel calls, measured by the workers themselves)
+//!   inside kernel calls, measured by the workers themselves)
 //!   must read zero after warmup whenever ds-obs recording is off.
 //! - **Backpressure**: a second, deliberately tiny server (one worker,
 //!   shallow queue) is burst-loaded until the admission bound trips; the
@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ds_camal::Camal;
 use ds_serve::{Client, ModelRegistry, ServeConfig, Server};
@@ -93,10 +93,8 @@ pub struct LoadReport {
     /// server is sized so admission control never trips under the
     /// schedule).
     pub errors: u64,
-    /// Heap allocations inside batched kernel calls, server-measured.
+    /// Heap allocations inside kernel calls, server-measured.
     pub steady_allocs: u64,
-    /// Mean batch fill over the timed phase, in `[0, 1]`.
-    pub mean_batch_fill: f64,
     /// Successful streaming `push` requests in the stream smoke.
     pub push_oks: u64,
     /// 200s observed while burst-loading the shallow-queue probe server.
@@ -351,7 +349,6 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
 
     let stats = server.stats();
     let steady_allocs = stats.steady_allocs.load(Ordering::Relaxed);
-    let mean_batch_fill = stats.mean_batch_fill(server.batch_windows());
     server.shutdown();
 
     let (overload_ok, overload_rejected, recovered) = overload_probe(model, config.window);
@@ -366,7 +363,6 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
         flips,
         errors,
         steady_allocs,
-        mean_batch_fill,
         push_oks,
         overload_ok,
         overload_rejected,
@@ -375,7 +371,7 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
 }
 
 /// Burst a deliberately under-provisioned server (one worker, four queue
-/// slots, slow deadline) until admission control trips. Returns
+/// slots) until admission control trips. Returns
 /// `(oks, rejected 503s, recovered)` — both counts must be nonzero for
 /// the probe to prove anything, and `recovered` shows the 503s stop once
 /// the burst drains (backpressure, not a wedge).
@@ -384,7 +380,6 @@ fn overload_probe(model: &Camal, window: usize) -> (u64, u64, bool) {
         ServeConfig {
             workers: 1,
             queue_depth: 4,
-            max_wait: Duration::from_millis(20),
             ..ServeConfig::default()
         },
         registry_with(model, window),

@@ -95,7 +95,8 @@ impl DetectorEnsemble {
         &self.members
     }
 
-    /// Mutably borrow the members (weight inspection in benches/tests).
+    /// Mutably borrow the members (checkpoint loading, weight inspection
+    /// in benches/tests).
     pub fn members_mut(&mut self) -> &mut [DetectorNet] {
         &mut self.members
     }

@@ -71,10 +71,8 @@ pub fn localize(ensemble: &ResNetEnsemble, window: &[f32], cfg: &LocalizerConfig
 /// from the worker count: chunk boundaries — and therefore the batches
 /// each network sees — are identical at any `DS_PAR_THREADS` setting.
 ///
-/// Public because the serving front (`ds-serve`) sizes its cross-request
-/// micro-batches to exactly one chunk: a full collector batch fills the
-/// arena slots one fused `localize_batch_into` call was already shaped
-/// for, so batching across requests cannot change any per-window result.
+/// Public because the serving front (`ds-serve`) warms each plan's arena
+/// with one full chunk, the largest shape any later call asks of it.
 pub const WINDOW_CHUNK: usize = 16;
 
 /// Run steps 1–6 over many raw windows (all sharing one length), chunked

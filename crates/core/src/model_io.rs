@@ -1,29 +1,35 @@
 //! Persistence of trained CamAL models (ensemble weights + configuration)
 //! as versioned JSON, matching the substrate's checkpoint conventions.
 //!
-//! Two on-disk formats exist:
+//! Three on-disk formats exist:
 //!
 //! - **v1** (pre-backbone-zoo): members are bare ResNets — the format
 //!   carried no backbone information because there was only one.
-//! - **v2** (current): members are externally tagged [`DetectorNet`]s, so
-//!   every member records its backbone (`{"ResNet": {...}}`,
+//! - **v2**: members are externally tagged [`DetectorNet`]s, so every
+//!   member records its backbone (`{"ResNet": {...}}`,
 //!   `{"Inception": {...}}`, ...) and heterogeneous ensembles round-trip.
+//! - **v3** (current): the v2 schema without gradient buffers. v1 and v2
+//!   files carry a zero-filled gradient array beside every parameter
+//!   array; loading ignores them.
 //!
 //! [`from_json`] probes `format_version` before committing to a schema, so
 //! v1 files keep loading forever (mapped to all-ResNet ensembles,
 //! bit-identically — the fixture test freezes both sides and compares raw
-//! parameter bits). Unknown future versions are rejected with
-//! [`CamalIoError::Version`] instead of a confusing schema error.
+//! parameter bits). Every loaded member gets gradient buffers sized from
+//! its layer shapes, so it trains exactly as the model that was saved.
+//! Unknown future versions are rejected with [`CamalIoError::Version`]
+//! instead of a confusing schema error; a v2 reader thus refuses a v3 file
+//! rather than loading a model with no gradient buffers.
 
 use crate::config::CamalConfig;
 use crate::ensemble::DetectorEnsemble;
 use crate::Camal;
-use ds_neural::{DetectorNet, ResNet};
+use ds_neural::{DetectorNet, ResNet, VisitParams};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Current CamAL checkpoint format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct CamalCheckpoint {
@@ -106,22 +112,22 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
         1 => {
             let ckpt: CamalCheckpointV1 =
                 serde_json::from_value(&value).map_err(|e| CamalIoError::Format(e.to_string()))?;
-            let members: Vec<DetectorNet> = ckpt
+            let mut members: Vec<DetectorNet> = ckpt
                 .ensemble
                 .members
                 .into_iter()
                 .map(DetectorNet::ResNet)
                 .collect();
-            require_valid_members(&members)?;
+            load_members(&mut members)?;
             Ok(Camal::from_parts(
                 DetectorEnsemble::from_members(members),
                 ckpt.config,
             ))
         }
-        2 => {
-            let ckpt: CamalCheckpoint =
+        2 | 3 => {
+            let mut ckpt: CamalCheckpoint =
                 serde_json::from_value(&value).map_err(|e| CamalIoError::Format(e.to_string()))?;
-            require_valid_members(ckpt.ensemble.members())?;
+            load_members(ckpt.ensemble.members_mut())?;
             Ok(Camal::from_parts(ckpt.ensemble, ckpt.config))
         }
         other => Err(CamalIoError::Version {
@@ -134,17 +140,19 @@ pub fn from_json(json: &str) -> Result<Camal, CamalIoError> {
 /// over members), so an empty ensemble is a malformed checkpoint. So is
 /// any member whose layer shapes do not chain or whose parameters are not
 /// finite: it would load, then panic (or emit NaN) on its first window.
-/// Members see univariate windows, hence one input channel.
-fn require_valid_members(members: &[DetectorNet]) -> Result<(), CamalIoError> {
+/// Members see univariate windows, hence one input channel. A valid
+/// member's gradient buffers are then sized from its layer shapes.
+fn load_members(members: &mut [DetectorNet]) -> Result<(), CamalIoError> {
     if members.is_empty() {
         return Err(CamalIoError::Format(
             "checkpoint ensemble has no members".into(),
         ));
     }
-    for (i, member) in members.iter().enumerate() {
+    for (i, member) in members.iter_mut().enumerate() {
         member
             .validate(1)
             .map_err(|e| CamalIoError::Format(format!("member {i}: {e}")))?;
+        member.size_grads();
     }
     Ok(())
 }
@@ -172,8 +180,42 @@ mod tests {
         Camal::from_parts(DetectorEnsemble::untrained(&cfg), cfg)
     }
 
+    /// Add the zero-filled gradient array v1 and v2 writers stored beside
+    /// every conv/linear/batch-norm parameter array.
+    fn with_grad_arrays(v: &mut serde_json::Value) {
+        match v {
+            serde_json::Value::Object(m) => {
+                for (param, grad) in [
+                    ("weight", "grad_weight"),
+                    ("bias", "grad_bias"),
+                    ("gamma", "grad_gamma"),
+                    ("beta", "grad_beta"),
+                ] {
+                    if let Some(serde_json::Value::Array(a)) = m.get(param) {
+                        let zeros = vec![serde_json::Value::from(0.0); a.len()];
+                        m.insert(grad.to_string(), serde_json::Value::Array(zeros));
+                    }
+                }
+                m.values_mut().for_each(with_grad_arrays);
+            }
+            serde_json::Value::Array(a) => a.iter_mut().for_each(with_grad_arrays),
+            _ => {}
+        }
+    }
+
+    /// `json` as a v2 writer would have stored it.
+    fn v2_json(json: &str) -> String {
+        let mut value = serde_json::parse_value_complete(json).unwrap();
+        with_grad_arrays(&mut value);
+        value.to_string().replace(
+            &format!("\"format_version\":{FORMAT_VERSION}"),
+            "\"format_version\":2",
+        )
+    }
+
     /// Author a genuine v1 checkpoint for `model` (all members must be
-    /// ResNets): untagged members, no `backbones` config key.
+    /// ResNets): untagged members with gradient arrays, no `backbones`
+    /// config key.
     fn v1_json(model: &Camal) -> String {
         let members: Vec<ResNet> = model
             .ensemble()
@@ -184,14 +226,17 @@ mod tests {
                 other => panic!("v1 cannot hold a {} member", other.backbone()),
             })
             .collect();
-        serde_json::to_string(&CamalCheckpointV1 {
+        let mut value = serde_json::to_value(&CamalCheckpointV1 {
             format_version: 1,
             config: model.config().clone(),
             ensemble: EnsembleV1 { members },
         })
-        .unwrap()
-        .replace("\"backbones\":[],", "")
-        .replace(",\"backbones\":[]", "")
+        .unwrap();
+        with_grad_arrays(&mut value);
+        value
+            .to_string()
+            .replace("\"backbones\":[],", "")
+            .replace(",\"backbones\":[]", "")
     }
 
     #[test]
@@ -255,6 +300,7 @@ mod tests {
         let model = untrained_model();
         let json = v1_json(&model);
         assert!(json.contains("\"format_version\":1"));
+        assert!(json.contains("\"grad_weight\"") && json.contains("\"grad_gamma\""));
         assert!(!json.contains("backbones"));
         let back = from_json(&json).unwrap();
         assert_eq!(back.ensemble().len(), model.ensemble().len());
@@ -270,9 +316,15 @@ mod tests {
             back.freeze().ensemble().param_bits(),
             "v1-loaded frozen plan drifted from the source model"
         );
-        // And the loaded model re-saves as v2, round-tripping from there.
+        assert_trains_like(
+            &model.ensemble().members()[0],
+            &back.ensemble().members()[0],
+            "v1",
+        );
+        // And the loaded model re-saves as the current version,
+        // round-tripping from there.
         let rewritten = to_json(&back);
-        assert!(rewritten.contains("\"format_version\":2"));
+        assert!(rewritten.contains(&format!("\"format_version\":{FORMAT_VERSION}")));
         let again = from_json(&rewritten).unwrap();
         assert_eq!(
             back.freeze().ensemble().param_bits(),
@@ -284,10 +336,10 @@ mod tests {
     fn version_and_format_guards() {
         // Future versions are rejected by number, not by schema accident.
         let json =
-            to_json(&untrained_model()).replace("\"format_version\":2", "\"format_version\":3");
+            to_json(&untrained_model()).replace("\"format_version\":3", "\"format_version\":4");
         assert!(matches!(
             from_json(&json),
-            Err(CamalIoError::Version { found: 3 })
+            Err(CamalIoError::Version { found: 4 })
         ));
         assert!(matches!(
             from_json("not json"),
@@ -427,6 +479,80 @@ mod tests {
                     Err(other) => panic!("{label} {name}: wrong error {other}"),
                     Ok(_) => panic!("{label} {name}: malformed checkpoint loaded"),
                 }
+            }
+        }
+    }
+
+    fn single_backbone_model(backbone: Backbone) -> Camal {
+        let cfg = CamalConfig {
+            backbones: vec![backbone],
+            ..CamalConfig::fast_test()
+        };
+        Camal::from_parts(DetectorEnsemble::untrained(&cfg), cfg)
+    }
+
+    /// Raw bits of every parameter of `net`, in visit order.
+    fn param_bits(net: &DetectorNet) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.clone()
+            .visit_params(&mut |p, _| bits.extend(p.iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    /// Train a copy of `saved` and of `loaded` for one epoch on the same
+    /// data; both must end bit-identical, and training must have moved
+    /// the weights (an unsized gradient buffer would freeze them).
+    fn assert_trains_like(saved: &DetectorNet, loaded: &DetectorNet, label: &str) {
+        let windows: Vec<Vec<f32>> = (0..12)
+            .map(|i| {
+                (0..48)
+                    .map(|t| ((t * (i + 1)) as f32 * 0.3).sin())
+                    .collect()
+            })
+            .collect();
+        let labels: Vec<u8> = (0..12).map(|i| (i % 2) as u8).collect();
+        let cfg = ds_neural::train::TrainConfig {
+            epochs: 1,
+            ..ds_neural::train::TrainConfig::fast()
+        };
+        let (mut a, mut b) = (saved.clone(), loaded.clone());
+        ds_neural::train::train_classifier(&mut a, &windows, &labels, &cfg);
+        ds_neural::train::train_classifier(&mut b, &windows, &labels, &cfg);
+        assert_ne!(
+            param_bits(&a),
+            param_bits(saved),
+            "{label}: training moved nothing"
+        );
+        assert_eq!(
+            param_bits(&a),
+            param_bits(&b),
+            "{label}: loaded model trains differently"
+        );
+    }
+
+    #[test]
+    fn checkpoints_store_no_gradient_buffers() {
+        for b in Backbone::ALL {
+            let json = to_json(&single_backbone_model(b));
+            assert!(
+                !json.contains("\"grad_"),
+                "{b}: checkpoint stores gradients"
+            );
+        }
+    }
+
+    #[test]
+    fn round_tripped_models_train_bit_identically() {
+        for b in Backbone::ALL {
+            let model = single_backbone_model(b);
+            let json = to_json(&model);
+            for (label, file) in [("v3", json.clone()), ("v2", v2_json(&json))] {
+                let back = from_json(&file).unwrap();
+                assert_trains_like(
+                    &model.ensemble().members()[0],
+                    &back.ensemble().members()[0],
+                    &format!("{label} {b}"),
+                );
             }
         }
     }

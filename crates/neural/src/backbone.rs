@@ -203,7 +203,7 @@ impl DetectorNet {
 }
 
 impl VisitParams for DetectorNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         match self {
             DetectorNet::ResNet(n) => n.visit_params(f),
             DetectorNet::Inception(n) => n.visit_params(f),

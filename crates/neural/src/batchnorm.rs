@@ -26,9 +26,12 @@ pub struct BatchNorm1d {
     pub momentum: f32,
     /// Numerical-stability epsilon.
     pub eps: f32,
-    /// γ gradients. Serialized so a deserialized model has sized buffers.
+    /// γ gradients. Not serialized: loaders size them with
+    /// [`VisitParams::size_grads`].
+    #[serde(skip)]
     pub grad_gamma: Vec<f32>,
-    /// β gradients.
+    /// β gradients (not serialized).
+    #[serde(skip)]
     pub grad_beta: Vec<f32>,
     #[serde(skip)]
     cache: Option<Cache>,
@@ -241,7 +244,7 @@ impl BatchNorm1d {
 }
 
 impl VisitParams for BatchNorm1d {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         f(&mut self.gamma, &mut self.grad_gamma);
         f(&mut self.beta, &mut self.grad_beta);
     }

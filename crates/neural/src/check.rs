@@ -35,7 +35,7 @@ fn params(what: &str, field: &str, values: &[f32], len: Option<usize>) -> Result
 impl Conv1d {
     /// An `in_channels → out_channels` convolution with a positive kernel
     /// and dilation, `[out, in, k]` finite weights and `[out]` finite
-    /// bias (gradient buffers sized alike).
+    /// bias.
     pub(crate) fn check(&self, what: &str, in_ch: usize, out_ch: usize) -> Result<(), String> {
         dim(what, "input channels", self.in_channels, in_ch)?;
         dim(what, "output channels", self.out_channels, out_ch)?;
@@ -44,14 +44,7 @@ impl Conv1d {
         }
         let n = (out_ch.checked_mul(in_ch)).and_then(|n| n.checked_mul(self.kernel));
         params(what, "weight", &self.weight, n)?;
-        params(what, "bias", &self.bias, Some(out_ch))?;
-        dim(
-            what,
-            "weight grad length",
-            self.grad_weight.len(),
-            self.weight.len(),
-        )?;
-        dim(what, "bias grad length", self.grad_bias.len(), out_ch)
+        params(what, "bias", &self.bias, Some(out_ch))
     }
 }
 
@@ -70,14 +63,13 @@ impl BatchNorm1d {
         if !(self.eps > 0.0 && self.eps.is_finite() && self.momentum.is_finite()) {
             return Err(format!("{what}: eps must be positive and momentum finite"));
         }
-        dim(what, "gamma grad length", self.grad_gamma.len(), channels)?;
-        dim(what, "beta grad length", self.grad_beta.len(), channels)
+        Ok(())
     }
 }
 
 /// The GAP head every detector backbone ends in: `features → num_classes`
 /// with at least two classes (the CAM reads class 1), `[out, in]` finite
-/// weights and `[out]` finite bias (gradient buffers sized alike).
+/// weights and `[out]` finite bias.
 pub(crate) fn head(head: &Linear, features: usize, num_classes: usize) -> Result<(), String> {
     if num_classes < 2 {
         return Err(format!("head: {num_classes} classes, expected at least 2"));
@@ -90,17 +82,5 @@ pub(crate) fn head(head: &Linear, features: usize, num_classes: usize) -> Result
         &head.weight,
         num_classes.checked_mul(features),
     )?;
-    params("head", "bias", &head.bias, Some(num_classes))?;
-    dim(
-        "head",
-        "weight grad length",
-        head.grad_weight.len(),
-        head.weight.len(),
-    )?;
-    dim(
-        "head",
-        "bias grad length",
-        head.grad_bias.len(),
-        num_classes,
-    )
+    params("head", "bias", &head.bias, Some(num_classes))
 }

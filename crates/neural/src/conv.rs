@@ -38,10 +38,12 @@ pub struct Conv1d {
     pub weight: Vec<f32>,
     /// Per-output-channel bias.
     pub bias: Vec<f32>,
-    /// Weight gradients (same layout as `weight`). Serialized alongside the
-    /// weights so a deserialized model has correctly sized buffers.
+    /// Weight gradients (same layout as `weight`). Not serialized:
+    /// loaders size them with [`VisitParams::size_grads`].
+    #[serde(skip)]
     pub grad_weight: Vec<f32>,
-    /// Bias gradients.
+    /// Bias gradients (not serialized).
+    #[serde(skip)]
     pub grad_bias: Vec<f32>,
     /// Cached input from the last forward (needed by backward).
     #[serde(skip)]
@@ -798,7 +800,7 @@ fn grad_weight_taps(gw: &mut [f32], g: &[f32], x: &[f32], pad: usize, dilation: 
 }
 
 impl VisitParams for Conv1d {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
     }

@@ -151,7 +151,7 @@ impl FrozenConv {
     }
 
     /// One batch row. On AVX2+FMA hosts (unless `DS_SIMD=off`) the
-    /// vectorized [`crate::simd::frozen_conv_rows`] kernel runs — eight
+    /// vectorized [`crate::simd::frozen_conv_rows`] kernel runs — sixteen
     /// output positions per step, logits within `1e-4` of the scalar
     /// path. Otherwise: bias fill, then blocks of four output channels
     /// accumulated against each input row via the two-position kernel

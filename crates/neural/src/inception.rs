@@ -308,7 +308,7 @@ impl InceptionBlock {
 }
 
 impl VisitParams for InceptionBlock {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         self.bottleneck.visit_params(f);
         self.branch1.visit_params(f);
         self.branch2.visit_params(f);
@@ -465,7 +465,7 @@ impl InceptionNet {
 }
 
 impl VisitParams for InceptionNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         for block in &mut self.blocks {
             block.visit_params(f);
         }

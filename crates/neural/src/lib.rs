@@ -94,11 +94,20 @@ pub fn randutil_normal(rng: &mut impl rand::Rng, mean: f32, std: f32) -> f32 {
 /// optimizer sees parameters in a stable order across steps.
 pub trait VisitParams {
     /// Call `f(params, grads)` once per parameter tensor, in a stable order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>));
 
     /// Zero all gradient buffers.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |_, g| g.fill(0.0));
+    }
+
+    /// Size every gradient buffer to its parameter tensor, zeroed.
+    /// Checkpoints carry no gradients, so every loader calls this once.
+    fn size_grads(&mut self) {
+        self.visit_params(&mut |p, g| {
+            g.clear();
+            g.resize(p.len(), 0.0);
+        });
     }
 
     /// Total number of scalar parameters.

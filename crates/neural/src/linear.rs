@@ -18,10 +18,12 @@ pub struct Linear {
     pub weight: Vec<f32>,
     /// Per-output bias.
     pub bias: Vec<f32>,
-    /// Weight gradients. Serialized alongside the weights so a deserialized
-    /// model has correctly sized buffers.
+    /// Weight gradients. Not serialized: loaders size them with
+    /// [`VisitParams::size_grads`].
+    #[serde(skip)]
     pub grad_weight: Vec<f32>,
-    /// Bias gradients.
+    /// Bias gradients (not serialized).
+    #[serde(skip)]
     pub grad_bias: Vec<f32>,
     #[serde(skip)]
     cached_input: Option<Matrix>,
@@ -106,7 +108,7 @@ impl Linear {
 }
 
 impl VisitParams for Linear {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
     }

@@ -173,7 +173,7 @@ mod tests {
     }
 
     impl VisitParams for Quadratic {
-        fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
             f(&mut self.params, &mut self.grads);
         }
     }

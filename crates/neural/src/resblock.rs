@@ -170,7 +170,7 @@ impl ResidualBlock {
 }
 
 impl VisitParams for ResidualBlock {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         self.stage1.conv.visit_params(f);
         self.stage1.bn.visit_params(f);
         self.stage2.conv.visit_params(f);

@@ -209,7 +209,7 @@ impl ResNet {
 }
 
 impl VisitParams for ResNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         for block in &mut self.blocks {
             block.visit_params(f);
         }

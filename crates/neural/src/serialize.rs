@@ -3,9 +3,11 @@
 //! JSON is deliberately chosen over a binary format: trained models in this
 //! reproduction are small (tens of thousands of parameters), and an
 //! auditable text format lets users diff and inspect checkpoints. The file
-//! embeds a format version so future layouts can migrate.
+//! embeds a format version so future layouts can migrate. Gradient buffers
+//! are not stored; loading sizes them from the layer shapes.
 
 use crate::resnet::ResNet;
+use crate::VisitParams;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -73,7 +75,9 @@ pub fn from_json(json: &str) -> Result<ResNet, ModelIoError> {
             expected: FORMAT_VERSION,
         });
     }
-    Ok(ckpt.model)
+    let mut model = ckpt.model;
+    model.size_grads();
+    Ok(model)
 }
 
 /// Save a model to a file.

@@ -18,12 +18,14 @@
 //!
 //! One kernel family lives here: **f32 conv rows** (`frozen_conv_rows`),
 //! the frozen `[4 output rows] × [all input channels]` accumulation,
-//! vectorized over eight adjacent output positions. Each tap broadcast
-//! feeds four f32x8 FMA accumulators, so one weight load performs 32
+//! vectorized over sixteen adjacent output positions. Each tap broadcast
+//! feeds eight f32x8 FMA accumulators, so one weight load performs 64
 //! multiply-accumulates — against the scalar kernel's two positions per
-//! weight load. Per element, taps still accumulate in ascending `(ic, k)`
-//! order, so the only numeric difference from the scalar twin is FMA's
-//! single rounding.
+//! weight load. Every position of a row runs the vector kernel: a step
+//! whose taps reach into the zero padding reads a zero-filled stack copy
+//! of its input span. Per element, taps still accumulate in ascending
+//! `(ic, k)` order, so the only numeric difference from the scalar twin
+//! is FMA's single rounding.
 //!
 //! The kernel computes whole rows only. Streaming reuses work per
 //! window (`ds_camal::StreamingCamal`), never per conv position: every
@@ -125,9 +127,9 @@ pub fn label() -> &'static str {
 
 /// One scalar output position for up to four rows of a frozen conv block:
 /// `bias + Σ_ic Σ_k w·x` with a per-tap range check (zero padding). Used
-/// by the SIMD paths for the padded edges and the vector-width remainder,
-/// and for output-channel remainder rows. Tap order matches the vector
-/// interior (ascending `ic`, then `k`).
+/// by the SIMD path for output-channel remainder rows and for convolutions
+/// too wide to stage an edge span ([`EDGE_SEG`]). Tap order matches the
+/// vector kernel (ascending `ic`, then `k`).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn scalar_positions(
@@ -187,10 +189,19 @@ pub(crate) fn frozen_conv_rows(
     if mode() != SimdMode::Avx2 {
         return false;
     }
+    // The kernel's unchecked loads and stores rely on these lengths.
+    assert!(
+        weight.len() >= out_channels * in_channels * kernel
+            && bias.len() >= out_channels
+            && x_rows.len() >= in_channels * l
+            && y_rows.len() >= out_channels * l,
+        "conv row buffers are smaller than the layer shape"
+    );
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: `mode()` only reports Avx2 after `is_x86_feature_detected!`
-        // confirmed avx2+fma on this host.
+        // confirmed avx2+fma on this host; the buffer lengths are asserted
+        // above.
         unsafe {
             f32_rows_avx2(
                 weight,
@@ -214,11 +225,35 @@ pub(crate) fn frozen_conv_rows(
     }
 }
 
-/// AVX2/FMA interior kernel: four output rows × eight adjacent positions
-/// per step. Every broadcast weight feeds four f32x8 FMA chains (32 MACs
-/// per weight load); per element the taps accumulate in ascending
-/// `(ic, k)` order, exactly like the scalar twin, with FMA's fused
-/// rounding as the only numeric difference.
+/// Output positions one step of the AVX2 kernel computes per row: two
+/// f32x8 vectors, so each output row keeps two independent FMA chains.
+const STEP: usize = 16;
+
+/// Longest zero-padded input span an edge step of the AVX2 kernel stages
+/// on the stack: [`STEP`] positions plus the taps' reach, `(k - 1) · d`.
+/// Wider convolutions take the scalar path for every position.
+const EDGE_SEG: usize = 144;
+
+/// Fill `seg` with `x_row[t - pad ..]`, reading zeros wherever that index
+/// falls outside the row: the input a step starting at output `t` sees
+/// through the convolution's zero padding.
+#[inline]
+fn edge_segment(x_row: &[f32], t: usize, pad: usize, seg: &mut [f32]) {
+    let n = seg.len() as isize;
+    let s0 = t as isize - pad as isize;
+    let lo = (-s0).clamp(0, n) as usize;
+    let hi = (x_row.len() as isize - s0).clamp(lo as isize, n) as usize;
+    seg.fill(0.0);
+    let from = (s0 + lo as isize) as usize;
+    seg[lo..hi].copy_from_slice(&x_row[from..from + hi - lo]);
+}
+
+/// AVX2/FMA kernel: four output rows × [`STEP`] adjacent positions per
+/// step, the padded edges and the row's last partial step included.
+/// Every broadcast weight feeds eight f32x8 FMA chains (64 MACs per
+/// weight load); per element the taps accumulate in ascending `(ic, k)`
+/// order, exactly like the scalar twin (a zero-padded tap adds an exact
+/// zero), with FMA's fused rounding as the only numeric difference.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -244,76 +279,64 @@ unsafe fn f32_rows_avx2(
     while oc < out_channels {
         let rows = (out_channels - oc).min(4);
         let block = &mut y_rows[oc * l..(oc + rows) * l];
-        if rows == 4 {
-            let (b0, b1, b2, b3) = (bias[oc], bias[oc + 1], bias[oc + 2], bias[oc + 3]);
-            let mut t = t_lo;
-            while t + 8 <= t_hi {
-                let mut a0 = _mm256_set1_ps(b0);
-                let mut a1 = _mm256_set1_ps(b1);
-                let mut a2 = _mm256_set1_ps(b2);
-                let mut a3 = _mm256_set1_ps(b3);
+        if rows == 4 && STEP + span <= EDGE_SEG {
+            // Steps whose taps reach past either end of the row read a
+            // zero-padded copy of their input span instead.
+            let mut seg = [0.0f32; EDGE_SEG];
+            let mut t = 0;
+            while t < l {
+                let interior = t >= t_lo && t + STEP <= t_hi;
+                // acc[r][h]: row `oc + r`, positions `t + 8h .. t + 8h + 8`.
+                let mut acc = [[zero; 2]; 4];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    *row = [_mm256_set1_ps(bias[oc + r]); 2];
+                }
+                // In bounds: the loads read `x_base[0 .. span + STEP]`. An
+                // interior step has `t >= pad` and `t + STEP <= t_hi`, so
+                // that is `x_row[t - pad .. t - pad + span + STEP]`, inside
+                // the row; an edge step reads `seg[.. STEP + span]`.
                 for ic in 0..in_channels {
-                    let x_base = x_rows.as_ptr().add(ic * l + t - pad);
+                    let x_base = if interior {
+                        x_rows.as_ptr().add(ic * l + t - pad)
+                    } else {
+                        let x_row = &x_rows[ic * l..(ic + 1) * l];
+                        edge_segment(x_row, t, pad, &mut seg[..STEP + span]);
+                        seg.as_ptr()
+                    };
                     let w_base = (oc * in_channels + ic) * kernel;
                     for kk in 0..kernel {
-                        let xv = _mm256_loadu_ps(x_base.add(kk * dilation));
-                        let w_at = |r: usize| {
-                            _mm256_set1_ps(
+                        let x0 = _mm256_loadu_ps(x_base.add(kk * dilation));
+                        let x1 = _mm256_loadu_ps(x_base.add(kk * dilation + 8));
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            let w = _mm256_set1_ps(
                                 *weight.get_unchecked(w_base + r * in_channels * kernel + kk),
-                            )
-                        };
-                        a0 = _mm256_fmadd_ps(w_at(0), xv, a0);
-                        a1 = _mm256_fmadd_ps(w_at(1), xv, a1);
-                        a2 = _mm256_fmadd_ps(w_at(2), xv, a2);
-                        a3 = _mm256_fmadd_ps(w_at(3), xv, a3);
+                            );
+                            row[0] = _mm256_fmadd_ps(w, x0, row[0]);
+                            row[1] = _mm256_fmadd_ps(w, x1, row[1]);
+                        }
                     }
                 }
-                if relu {
-                    a0 = _mm256_max_ps(a0, zero);
-                    a1 = _mm256_max_ps(a1, zero);
-                    a2 = _mm256_max_ps(a2, zero);
-                    a3 = _mm256_max_ps(a3, zero);
+                // A row's last step may be partial: it goes through `lanes`,
+                // and only its valid positions are kept.
+                let full = t + STEP <= l;
+                let mut lanes = [0.0f32; STEP];
+                for (r, row) in acc.iter().enumerate() {
+                    // A full step's stores end at `r * l + t + STEP <= (r + 1) * l`.
+                    let out = if full {
+                        block.as_mut_ptr().add(r * l + t)
+                    } else {
+                        lanes.as_mut_ptr()
+                    };
+                    for (h, &a) in row.iter().enumerate() {
+                        let a = if relu { _mm256_max_ps(a, zero) } else { a };
+                        _mm256_storeu_ps(out.add(8 * h), a);
+                    }
+                    if !full {
+                        block[r * l + t..(r + 1) * l].copy_from_slice(&lanes[..l - t]);
+                    }
                 }
-                let y = block.as_mut_ptr().add(t);
-                _mm256_storeu_ps(y, a0);
-                _mm256_storeu_ps(y.add(l), a1);
-                _mm256_storeu_ps(y.add(2 * l), a2);
-                _mm256_storeu_ps(y.add(3 * l), a3);
-                t += 8;
+                t += STEP;
             }
-            // Padded edges + the sub-vector interior remainder.
-            scalar_positions(
-                weight,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                x_rows,
-                block,
-                l,
-                relu,
-                oc,
-                4,
-                0,
-                t_lo,
-            );
-            scalar_positions(
-                weight,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                x_rows,
-                block,
-                l,
-                relu,
-                oc,
-                4,
-                t,
-                l,
-            );
         } else {
             scalar_positions(
                 weight,
@@ -366,7 +389,7 @@ mod tests {
             return; // nothing to compare on this host
         }
         for kernel in [1usize, 3, 5, 9, 15] {
-            for l in [5usize, 24, 40] {
+            for l in [5usize, 16, 24, 40, 73] {
                 for (ci, co) in [(1usize, 4usize), (3, 4), (2, 6)] {
                     let pad = (kernel - 1) / 2;
                     let weight: Vec<f32> = (0..co * ci * kernel)

@@ -310,7 +310,7 @@ impl TransBlock {
 }
 
 impl VisitParams for TransBlock {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         self.q.visit_params(f);
         self.k.visit_params(f);
         self.v.visit_params(f);
@@ -463,7 +463,7 @@ impl TransAppNet {
 }
 
 impl VisitParams for TransAppNet {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut Vec<f32>)) {
         self.embed.visit_params(f);
         self.embed_bn.visit_params(f);
         for block in &mut self.blocks {

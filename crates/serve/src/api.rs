@@ -14,8 +14,8 @@ use ds_camal::{Backbone, CamalError, Precision, StreamingCamal};
 use ds_timeseries::{Status, TimeSeries};
 use serde_json::Value;
 
-use crate::batch::{JobError, JobKind, SeriesJob, SubmitError, WindowJob};
 use crate::http::Request;
+use crate::queue::{Job, JobError, JobKind, SeriesJob, SubmitError, WindowJob};
 use crate::registry::{PlanError, PlanKey};
 use crate::server::Shared;
 
@@ -216,7 +216,7 @@ fn window_response(
     }
     let key = plan_key(&body, values.len())?;
     // Reject unknown plans *before* queueing so they never occupy queue
-    // slots or poison a batch.
+    // slots or reach a worker.
     shared.registry.check(&key).map_err(plan_error)?;
     let include_cam = localize
         && body
@@ -230,13 +230,13 @@ fn window_response(
     };
     let (tx, rx) = sync_channel(1);
     shared
-        .collector
-        .submit_window(WindowJob {
+        .queue
+        .submit(Job::Window(WindowJob {
             key: key.clone(),
             window: values,
             kind,
             tx,
-        })
+        }))
         .map_err(submit_error)?;
     let reply = rx
         .recv_timeout(REPLY_TIMEOUT)
@@ -305,13 +305,13 @@ fn series_response(shared: &Arc<Shared>, request: &Request) -> Result<String, Ap
     let series = TimeSeries::from_values(start, interval, values);
     let (tx, rx) = sync_channel(1);
     shared
-        .collector
-        .submit_series(SeriesJob {
+        .queue
+        .submit(Job::Series(SeriesJob {
             key,
             series,
             window,
             tx,
-        })
+        }))
         .map_err(submit_error)?;
     let states = rx
         .recv_timeout(REPLY_TIMEOUT)
@@ -425,7 +425,6 @@ fn push_response(shared: &Arc<Shared>, request: &Request) -> Result<String, ApiE
 
 fn stats_body(shared: &Arc<Shared>) -> String {
     let stats = &shared.stats;
-    let batch_windows = shared.collector.batch_windows();
     let mut obj = Obj::new();
     obj.insert(
         "requests".to_string(),
@@ -448,26 +447,13 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         Value::from(stats.batched_windows.load(Ordering::Relaxed)),
     );
     obj.insert(
-        "full_batches".to_string(),
-        Value::from(stats.full_batches.load(Ordering::Relaxed)),
-    );
-    obj.insert(
-        "deadline_batches".to_string(),
-        Value::from(stats.deadline_batches.load(Ordering::Relaxed)),
-    );
-    obj.insert(
-        "mean_batch_fill".to_string(),
-        Value::from(stats.mean_batch_fill(batch_windows)),
-    );
-    obj.insert(
         "steady_allocs".to_string(),
         Value::from(stats.steady_allocs.load(Ordering::Relaxed)),
     );
     obj.insert(
         "queue_depth".to_string(),
-        Value::from(shared.collector.queued()),
+        Value::from(shared.queue.queued()),
     );
-    obj.insert("batch_windows".to_string(), Value::from(batch_windows));
     obj.insert("workers".to_string(), Value::from(shared.config.workers));
     obj.insert(
         "sessions".to_string(),

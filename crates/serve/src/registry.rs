@@ -11,7 +11,7 @@
 //! published, which sizes every arena buffer to its steady-state shape.
 //! Workers clone the template (one arena per worker, no locking on the
 //! hot path) and inherit the warm sizes, so even a worker's *first* real
-//! batch allocates nothing inside the kernel call.
+//! job allocates nothing inside the kernel call.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,20 +20,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 use ds_camal::{Backbone, Camal, FrozenCamal, Precision, WINDOW_CHUNK};
 
 /// Identity of one frozen serving plan. Requests carrying the same key
-/// share a plan and may share a micro-batch.
+/// share a plan.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PlanKey {
     /// Dataset preset the model was trained on (e.g. `UKDALE_1`).
     pub preset: String,
     /// Appliance slug (e.g. `kettle`).
     pub appliance: String,
-    /// Window length in samples. Part of the key so every micro-batch is
-    /// shape-homogeneous — a length-mismatched request can never poison a
-    /// batch.
+    /// Window length in samples. Part of the key so every plan's arena is
+    /// shaped for exactly one length.
     pub window: usize,
     /// Detector architecture of the registered model (its lead backbone).
     /// Part of the key so plans of different backbones never alias in the
-    /// freeze cache, micro-batcher, or streaming sessions.
+    /// freeze cache, worker plan clones, or streaming sessions.
     pub backbone: Backbone,
     /// Always [`Precision::F32`]. Kept only so `perfbench/` compiles
     /// unchanged; the next benchmark PR removes it.

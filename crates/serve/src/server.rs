@@ -1,5 +1,5 @@
 //! The server proper: accept loop, bounded connection threads, and the
-//! inference worker pool that drains the micro-batch collector.
+//! inference worker pool that drains the job queue.
 //!
 //! Threading model (all `std`, no async runtime):
 //!
@@ -10,8 +10,8 @@
 //!   A short socket read timeout doubles as the shutdown poll while idle.
 //! - **inference workers** — fixed pool of `config.workers` threads; each
 //!   owns *clones* of the frozen plans it has served (one arena per
-//!   worker, no locks on the hot path) and processes one batch or series
-//!   job at a time from the [`Collector`](crate::batch::Collector).
+//!   worker, no locks on the hot path) and runs one job at a time, oldest
+//!   first, from the [`JobQueue`](crate::queue::JobQueue).
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 use ds_camal::{FrozenCamal, StreamingCamal};
 
 use crate::api;
-use crate::batch::{Collector, JobError, JobKind, Work};
 use crate::http::{self, HttpError, ReadOutcome};
+use crate::queue::{Job, JobError, JobKind, JobQueue, WindowJob, WindowReply, WindowResult};
 use crate::registry::{ModelRegistry, PlanKey};
 use crate::{ServeConfig, ServerStats};
 
@@ -36,7 +36,7 @@ pub(crate) type SessionMap = BTreeMap<(String, PlanKey), Arc<Mutex<StreamingCama
 pub(crate) struct Shared {
     pub config: ServeConfig,
     pub registry: Arc<ModelRegistry>,
-    pub collector: Collector,
+    pub queue: JobQueue,
     pub stats: Arc<ServerStats>,
     pub sessions: Mutex<SessionMap>,
     pub shutdown: AtomicBool,
@@ -68,12 +68,12 @@ impl Server {
             ds_obs::Quantile::P99,
             0.050,
         );
-        let collector = Collector::new(config.batch_windows, config.max_wait, config.queue_depth);
+        let queue = JobQueue::new(config.queue_depth);
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             config,
             registry,
-            collector,
+            queue,
             stats: Arc::new(ServerStats::default()),
             sessions: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
@@ -112,14 +112,16 @@ impl ServerHandle {
         &self.shared.stats
     }
 
-    /// Windows per micro-batch (for fill-ratio math in harnesses).
+    /// Always 1: every window job is one kernel call. Kept only so
+    /// `perfbench/` compiles unchanged; the next benchmark PR removes it
+    /// (ROADMAP item 10).
     pub fn batch_windows(&self) -> usize {
-        self.shared.collector.batch_windows()
+        1
     }
 
-    /// Jobs currently queued in the collector.
+    /// Jobs currently queued.
     pub fn queue_depth(&self) -> usize {
-        self.shared.collector.queued()
+        self.shared.queue.queued()
     }
 
     /// Stop accepting, drain queued work, join the pool. In-flight
@@ -127,7 +129,7 @@ impl ServerHandle {
     /// on their own; we wait briefly for them.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.collector.shutdown();
+        self.shared.queue.shutdown();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(accept) = self.accept.take() {
@@ -238,122 +240,75 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// One inference worker: drain the collector until shutdown. Each worker
+/// One inference worker: run queued jobs until shutdown. Each worker
 /// keeps its own plan clones — the arenas inside are written in place on
-/// every batch, so sharing them would need a lock; cloning trades a
+/// every call, so sharing them would need a lock; cloning trades a
 /// little memory (reported via `arena_bytes`) for a lock-free hot path.
 fn worker_loop(shared: &Arc<Shared>) {
     let mut plans: BTreeMap<PlanKey, FrozenCamal> = BTreeMap::new();
     let mut states = Vec::new();
-    while let Some(work) = shared.collector.next_work() {
-        match work {
-            Work::Batch { key, jobs, full } => {
+    while let Some(job) = shared.queue.next_work() {
+        match job {
+            Job::Window(job) => {
                 let stats = &shared.stats;
                 stats.batches.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .batched_windows
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                if full {
-                    stats.full_batches.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    stats.deadline_batches.fetch_add(1, Ordering::Relaxed);
-                }
-                if ds_obs::enabled() {
-                    let fill = jobs.len() as f64 / shared.collector.batch_windows() as f64;
-                    ds_obs::observe("serve.batch_fill", fill, ds_obs::Buckets::Unit);
-                }
-                let Some(plan) = worker_plan(shared, &mut plans, &key, &jobs) else {
-                    continue;
-                };
-                let refs: Vec<&[f32]> = jobs.iter().map(|j| j.window.as_slice()).collect();
-                // The zero-steady-state-allocs contract is measured around
-                // the kernel call alone: request framing and reply
-                // building allocate by design; the inference must not.
-                let before = ds_obs::alloc_count();
-                let result = plan.try_localize_batch_into(&refs);
-                let allocs = ds_obs::alloc_count() - before;
-                stats.steady_allocs.fetch_add(allocs, Ordering::Relaxed);
-                match result {
-                    Ok(batch) => {
-                        for (i, job) in jobs.iter().enumerate() {
-                            let include_cam =
-                                matches!(job.kind, JobKind::Localize { include_cam: true });
-                            let with_status = matches!(job.kind, JobKind::Localize { .. });
-                            let reply = crate::batch::WindowReply {
-                                probability: batch.probability(i),
-                                detected: batch.detected(i),
-                                members: batch.member_probabilities(i).collect(),
-                                status: if with_status {
-                                    batch.status(i).to_vec()
-                                } else {
-                                    Vec::new()
-                                },
-                                cam: if include_cam {
-                                    batch.cam(i).to_vec()
-                                } else {
-                                    Vec::new()
-                                },
-                            };
-                            let _ = job.tx.send(Ok(reply));
-                        }
-                    }
-                    Err(err) => {
-                        for job in &jobs {
-                            let _ = job.tx.send(Err(JobError::Camal(err.clone())));
-                        }
-                    }
-                }
+                stats.batched_windows.fetch_add(1, Ordering::Relaxed);
+                let reply = worker_plan(shared, &mut plans, &job.key)
+                    .and_then(|plan| run_window(plan, &job, stats));
+                let _ = job.tx.send(reply);
             }
-            Work::Series(job) => {
-                let Some(plan) = worker_plan_series(shared, &mut plans, &job) else {
-                    continue;
-                };
-                plan.predict_status_into(&job.series, job.window, &mut states);
-                let _ = job.tx.send(Ok(states.clone()));
+            Job::Series(job) => {
+                let reply = worker_plan(shared, &mut plans, &job.key).map(|plan| {
+                    plan.predict_status_into(&job.series, job.window, &mut states);
+                    states.clone()
+                });
+                let _ = job.tx.send(reply);
             }
         }
     }
 }
 
-/// Resolve (or adopt) this worker's clone of the plan for `key`,
-/// reporting a per-job error to every requester if the freeze fails.
+/// This worker's clone of the plan for `key`, adopted from the registry's
+/// frozen template on first use.
 fn worker_plan<'a>(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     plans: &'a mut BTreeMap<PlanKey, FrozenCamal>,
     key: &PlanKey,
-    jobs: &[crate::batch::WindowJob],
-) -> Option<&'a mut FrozenCamal> {
+) -> Result<&'a mut FrozenCamal, JobError> {
     if !plans.contains_key(key) {
-        match shared.registry.get_or_freeze(key) {
-            Ok(template) => {
-                plans.insert(key.clone(), (*template).clone());
-            }
-            Err(err) => {
-                for job in jobs {
-                    let _ = job.tx.send(Err(JobError::Plan(err)));
-                }
-                return None;
-            }
-        }
+        let template = shared.registry.get_or_freeze(key).map_err(JobError::Plan)?;
+        plans.insert(key.clone(), (*template).clone());
     }
-    plans.get_mut(key)
+    Ok(plans.get_mut(key).expect("plan adopted above"))
 }
 
-fn worker_plan_series<'a>(
-    shared: &Arc<Shared>,
-    plans: &'a mut BTreeMap<PlanKey, FrozenCamal>,
-    job: &crate::batch::SeriesJob,
-) -> Option<&'a mut FrozenCamal> {
-    if !plans.contains_key(&job.key) {
-        match shared.registry.get_or_freeze(&job.key) {
-            Ok(template) => {
-                plans.insert(job.key.clone(), (*template).clone());
-            }
-            Err(err) => {
-                let _ = job.tx.send(Err(JobError::Plan(err)));
-                return None;
-            }
-        }
-    }
-    plans.get_mut(&job.key)
+/// One window through the plan as a single-window kernel call.
+fn run_window(plan: &mut FrozenCamal, job: &WindowJob, stats: &ServerStats) -> WindowResult {
+    // The zero-steady-state-allocs contract is measured around the kernel
+    // call alone: request framing and reply building allocate by design;
+    // the inference must not.
+    let before = ds_obs::alloc_count();
+    let result = plan.try_localize_batch_into(&[job.window.as_slice()]);
+    let allocs = ds_obs::alloc_count() - before;
+    stats.steady_allocs.fetch_add(allocs, Ordering::Relaxed);
+    let batch = result.map_err(JobError::Camal)?;
+    let (with_status, include_cam) = match job.kind {
+        JobKind::Detect => (false, false),
+        JobKind::Localize { include_cam } => (true, include_cam),
+    };
+    Ok(WindowReply {
+        probability: batch.probability(0),
+        detected: batch.detected(0),
+        members: batch.member_probabilities(0).collect(),
+        status: if with_status {
+            batch.status(0).to_vec()
+        } else {
+            Vec::new()
+        },
+        cam: if include_cam {
+            batch.cam(0).to_vec()
+        } else {
+            Vec::new()
+        },
+    })
 }

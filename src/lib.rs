@@ -15,7 +15,7 @@
 //! - [`bench`](mod@bench) — the experiment harness (Figure 3, benchmark grid, claims,
 //!   ablations).
 //! - [`par`] — the data-parallel substrate behind batched inference.
-//! - [`serve`] — the micro-batching HTTP serving layer over frozen plans.
+//! - [`serve`] — the HTTP serving layer over frozen plans.
 
 pub use ds_app as app;
 pub use ds_baselines as baselines;

@@ -1,16 +1,16 @@
-//! Concurrency contracts of the ds-serve micro-batching server:
+//! Concurrency contracts of the ds-serve HTTP server:
 //!
 //! 1. **Exactly-once freeze** — N threads hammering
 //!    [`ModelRegistry::get_or_freeze`] on a cold key perform one freeze
 //!    per distinct [`PlanKey`] and all callers share one `Arc` plan.
-//! 2. **Zero decision flips under batching** — concurrent requests that
-//!    get fused into cross-request micro-batches answer exactly what the
-//!    direct in-process plan says about the same window (probabilities
-//!    within JSON round-trip tolerance, detection verdicts and status
-//!    masks identical).
-//! 3. **Batch-composition determinism** — the same request set issued
+//! 2. **Zero decision flips under concurrency** — concurrent requests
+//!    racing through the job queue onto several workers answer exactly
+//!    what the direct in-process plan says about the same window
+//!    (probabilities within JSON round-trip tolerance, detection verdicts
+//!    and status masks identical).
+//! 3. **Concurrency determinism** — the same request set issued
 //!    sequentially and at high concurrency yields byte-identical
-//!    response bodies: which micro-batch a window happens to ride in is
+//!    response bodies: which worker ran a window, and in what order, is
 //!    not observable.
 //! 4. **Backpressure, not wedge** — a burst against a shallow queue
 //!    sheds the excess with 503s, serves the rest, and recovers as soon
@@ -18,7 +18,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
-use std::time::Duration;
 
 use devicescope::camal::{Camal, CamalConfig, Precision};
 use devicescope::datasets::labels::Corpus;
@@ -229,10 +228,9 @@ fn batched_answers_match_the_direct_plan_and_are_composition_invariant() {
     .expect("server binds");
     let addr = server.addr().to_string();
 
-    // High concurrency: 6 clients race the collector, so windows from
-    // different clients share micro-batches.
+    // High concurrency: 6 clients race for the queue and both workers.
     let concurrent = fire(&addr, &bodies, 6);
-    // Sequential: one client, so most batches carry a single window.
+    // Sequential: one client, one request in flight at a time.
     let sequential = fire(&addr, &bodies, 1);
 
     let mut flips = 0;
@@ -258,14 +256,11 @@ fn batched_answers_match_the_direct_plan_and_are_composition_invariant() {
             flips += 1;
         }
     }
-    assert_eq!(flips, 0, "micro-batching must not change any decision");
+    assert_eq!(flips, 0, "serving must not change any decision");
 
-    // Which micro-batch a window rode in is not observable: the replies
-    // are byte-identical across compositions.
-    assert_eq!(
-        concurrent, sequential,
-        "batch composition leaked into responses"
-    );
+    // Scheduling is not observable: the replies are byte-identical at
+    // both concurrencies.
+    assert_eq!(concurrent, sequential, "scheduling leaked into responses");
 
     let stats = server.stats();
     assert_eq!(
@@ -275,7 +270,7 @@ fn batched_answers_match_the_direct_plan_and_are_composition_invariant() {
     );
     assert!(
         stats.batches.load(Ordering::Relaxed) > 0,
-        "requests went through the collector"
+        "requests went through the job queue"
     );
     server.shutdown();
 }
@@ -286,7 +281,6 @@ fn shallow_queue_sheds_load_and_recovers() {
         ServeConfig {
             workers: 1,
             queue_depth: 2,
-            max_wait: Duration::from_millis(25),
             ..ServeConfig::default()
         },
         registry(),
