@@ -100,6 +100,16 @@ pub const GATES: &[Gate] = &[
     // both sides run the same code, so the floor there is parity minus
     // noise: far below means the dispatch override leaked.
     frozen("frozen_conv", 3.0, 0.8),
+    // The AVX2 conv backward kernels against their bit-exact scalar
+    // twins, one worker each. Training allocates by design. Absolute
+    // floors only: the baseline row was measured on a 2-vCPU VM, the
+    // rows around it on a single-core container whose kernel ratios
+    // read lower (`frozen_conv` 5.5× there, ~10× on the VM).
+    Gate {
+        relative: 0.0,
+        allocs: Allocs::Relative,
+        ..frozen("conv_backward", 2.0, 0.8)
+    },
     flat("ensemble_predict"),
     flat("e2e_localize"),
     // The zero-alloc data-parallel trainer against the legacy one.

@@ -404,6 +404,65 @@ fn frozen_conv_case(scale: PerfScale) -> PerfCase {
     )
 }
 
+/// The conv backward kernels in isolation (same 8→16 / k = 9 layer as
+/// [`conv_forward_case`]): scalar twin vs the AVX2 path, both pinned to
+/// one worker so the ratio is the kernels' alone. The AVX2 kernels are
+/// bit-exact twins, so `bit_identical` means the input, weight and bias
+/// gradients all match bit for bit. On hosts without AVX2 (or with
+/// `DS_SIMD=off`) both paths run the scalar twin and the speedup reads
+/// 1.0×.
+fn conv_backward_case(scale: PerfScale) -> PerfCase {
+    let mut conv = Conv1d::new(8, 16, 9, 1);
+    let x = Tensor::from_data(
+        scale.batch,
+        8,
+        scale.window,
+        (0..scale.batch * 8 * scale.window)
+            .map(|i| ((i % 97) as f32 - 48.0) * 0.021)
+            .collect(),
+    );
+    let g = Tensor::from_data(
+        scale.batch,
+        16,
+        scale.window,
+        (0..scale.batch * 16 * scale.window)
+            .map(|i| ((i % 89) as f32 - 44.0) * 0.013)
+            .collect(),
+    );
+    conv.forward(&x, true);
+    let gradients = |mode: SimdMode| {
+        let mut fresh = conv.clone();
+        simd::set_mode(Some(mode));
+        let grad_in = seq(|| fresh.backward(&g));
+        simd::set_mode(None);
+        [
+            bits(&grad_in.data),
+            bits(&fresh.grad_weight),
+            bits(&fresh.grad_bias),
+        ]
+    };
+    let identical = gradients(SimdMode::Scalar) == gradients(simd::mode());
+    assert!(
+        identical,
+        "conv backward: SIMD gradients diverged from scalar"
+    );
+    let elements = (scale.batch * 8 * scale.window) as u64;
+    let cell = std::cell::RefCell::new(conv);
+    let timing = sample_paths(
+        scale.iters,
+        scale.batch as u64,
+        || {
+            simd::set_mode(Some(SimdMode::Scalar));
+            cell.borrow_mut().backward(&g);
+            simd::set_mode(None);
+        },
+        || {
+            seq(|| cell.borrow_mut().backward(&g));
+        },
+    );
+    build_case("conv_backward", elements, scale.iters, identical, 0, timing)
+}
+
 /// Full-ensemble prediction (probabilities + CAMs, 4 members).
 fn ensemble_predict_case(scale: PerfScale) -> PerfCase {
     let cfg = CamalConfig {
@@ -1029,6 +1088,7 @@ fn run_cases(scale: PerfScale, model: &Camal, zoo: &[(&str, &Camal)]) -> Vec<Per
     let mut cases = vec![
         conv_forward_case(scale),
         frozen_conv_case(scale),
+        conv_backward_case(scale),
         ensemble_predict_case(scale),
         e2e_localize_case(scale),
         train_epoch_case(scale),

@@ -228,14 +228,6 @@ impl NeuralNet for DetectorNet {
             DetectorNet::TransApp(n) => n.backward(grad_logits),
         }
     }
-
-    fn predict_positive_proba(&mut self, x: &Tensor) -> Vec<f32> {
-        match self {
-            DetectorNet::ResNet(n) => n.predict_positive_proba(x),
-            DetectorNet::Inception(n) => NeuralNet::predict_positive_proba(n, x),
-            DetectorNet::TransApp(n) => NeuralNet::predict_positive_proba(n, x),
-        }
-    }
 }
 
 /// A frozen serving plan of any backbone.

@@ -11,7 +11,10 @@
 //! rows are independent, so the parallel output is bit-identical to the
 //! sequential one, and the backward weight-gradient reduction uses a
 //! *fixed* chunk size so its summation tree is also identical under any
-//! worker count.
+//! worker count. Where AVX2 dispatches, the backward of a dense layer
+//! runs the [`crate::simd`] backward kernels instead of the scalar ones
+//! here; they are bit-exact twins, so trained weights are also identical
+//! under either `DS_SIMD` setting.
 //!
 //! Shape convention: input `[B, C_in, L]` → output `[B, C_out, L]`
 //! (stride 1, zero padding `k/2`; for even `k` the output is anchored so
@@ -267,8 +270,12 @@ impl Conv1d {
         grad_in
     }
 
-    /// One batch row of the backward pass: bias sums, single-pass weight
-    /// taps, and the input-gradient gather in blocks of four input rows.
+    /// One batch row of the backward pass: bias sums, then the weight and
+    /// input gradients — through the AVX2 kernels
+    /// ([`crate::simd::conv_backward_row`], bit-identical to the scalar
+    /// twins below) when they dispatch and the layer is dense, otherwise
+    /// through single-pass weight taps and the input-gradient gather in
+    /// blocks of four input rows.
     #[allow(clippy::too_many_arguments)]
     fn backward_row(
         &self,
@@ -283,8 +290,26 @@ impl Conv1d {
         let pad = self.pad_left();
         let k = self.kernel;
         for (oc, gb_oc) in gb.iter_mut().enumerate().take(self.out_channels) {
+            *gb_oc += grad_out.row(bi, oc).iter().sum::<f32>();
+        }
+        if self.dilation == 1
+            && crate::simd::conv_backward_row(
+                &self.weight,
+                self.in_channels,
+                self.out_channels,
+                k,
+                pad,
+                &x.data[bi * self.in_channels * l..][..self.in_channels * l],
+                &grad_out.data[bi * self.out_channels * l..][..self.out_channels * l],
+                gi_rows,
+                gw,
+                l,
+            )
+        {
+            return;
+        }
+        for oc in 0..self.out_channels {
             let g_row = grad_out.row(bi, oc);
-            *gb_oc += g_row.iter().sum::<f32>();
             // dL/dw[oc][ic][k] = sum_t g[t] * x[t + k*d - pad]
             for ic in 0..self.in_channels {
                 let start = (oc * self.in_channels + ic) * k;
@@ -809,6 +834,7 @@ impl VisitParams for Conv1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::SimdMode;
 
     /// Naive reference convolution for cross-checking.
     fn reference_forward(conv: &Conv1d, x: &Tensor) -> Tensor {
@@ -986,9 +1012,85 @@ mod tests {
         }
     }
 
-    /// Finite-difference gradient check for weights, bias and input.
+    /// `(grad_in, grad_weight, grad_bias)` bits of one forward/backward
+    /// pass of a fresh copy of `conv` under `mode`.
+    fn backward_bits(conv: &Conv1d, x: &Tensor, g: &Tensor, mode: SimdMode) -> [Vec<u32>; 3] {
+        let mut conv = conv.clone();
+        crate::simd::set_mode(Some(mode));
+        conv.forward(x, true);
+        let grad_in = conv.backward(g);
+        crate::simd::set_mode(None);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        [
+            bits(&grad_in.data),
+            bits(&conv.grad_weight),
+            bits(&conv.grad_bias),
+        ]
+    }
+
+    /// The AVX2 backward kernels are the bit-exact twins of the scalar
+    /// ones: every kernel width (const-dispatched, fallback, even, wider
+    /// than a tap vector), rows shorter than the kernel span, channel
+    /// counts on and off the four-row blocks, and a batch that splits
+    /// into two micro-batches. Dilation 2 takes the scalar path under
+    /// both dispatches.
+    #[test]
+    fn avx2_backward_is_bit_identical_to_the_scalar_twin() {
+        if !std::arch::is_x86_feature_detected!("avx2")
+            || !std::arch::is_x86_feature_detected!("fma")
+        {
+            return; // nothing to compare on this host
+        }
+        let _dispatch = crate::simd::lock_dispatch();
+        let shapes = [(1usize, 8usize), (3, 4), (4, 5), (8, 16)];
+        let mut cases: Vec<(usize, usize, usize, usize, usize)> = Vec::new();
+        for k in [1usize, 2, 3, 4, 5, 7, 9, 15, 17, 63] {
+            for l in [3usize, 5, 16, 17, 40, 73] {
+                for &(ci, co) in &shapes {
+                    cases.push((ci, co, k, 1, l));
+                }
+            }
+        }
+        for &(ci, co) in &shapes {
+            cases.push((ci, co, 3, 2, 40));
+            cases.push((ci, co, 5, 2, 17));
+        }
+        for (ci, co, k, d, l) in cases {
+            let conv = Conv1d::dilated(ci, co, k, d, (ci * 100 + co * 10 + k) as u64);
+            let b = 5;
+            let x = sample_input(b, ci, l);
+            let g = Tensor::from_data(
+                b,
+                co,
+                l,
+                (0..b * co * l)
+                    .map(|i| ((i * 53 % 31) as f32 - 15.0) / 9.0)
+                    .collect(),
+            );
+            let scalar = backward_bits(&conv, &x, &g, SimdMode::Scalar);
+            let simd = backward_bits(&conv, &x, &g, SimdMode::Avx2);
+            for (what, (s, v)) in ["grad_in", "grad_weight", "grad_bias"]
+                .iter()
+                .zip(scalar.iter().zip(&simd))
+            {
+                assert_eq!(s, v, "{what}: ci={ci} co={co} k={k} d={d} l={l}");
+            }
+        }
+    }
+
+    /// Finite-difference gradient check for weights, bias and input,
+    /// under both dispatches.
     #[test]
     fn gradient_check() {
+        let _dispatch = crate::simd::lock_dispatch();
+        for mode in [SimdMode::Scalar, SimdMode::Avx2] {
+            crate::simd::set_mode(Some(mode));
+            gradient_check_once();
+            crate::simd::set_mode(None);
+        }
+    }
+
+    fn gradient_check_once() {
         let mut conv = Conv1d::new(2, 3, 5, 42);
         let x = sample_input(2, 2, 9);
         // Loss = sum of squares of output / 2 -> dL/dy = y.

@@ -1,13 +1,17 @@
-//! Runtime-dispatched SIMD kernels for the frozen serving path.
+//! Runtime-dispatched SIMD kernels for the frozen serving path and for
+//! training's conv backward.
 //!
 //! The scalar kernels in [`crate::conv`] stay the source of truth: they
 //! are the bit-identical determinism twins the ds-par contract is built
-//! on, and every SIMD path here is gated against them by the frozen
-//! golden tests (logits within `1e-4`, zero decision flips) and the
+//! on. The serving kernel is gated against them by the frozen golden
+//! tests (logits within `1e-4`, zero decision flips) and the
 //! `simd_props` property suite (elementwise agreement within `1e-6`
 //! relative). The split mirrors ds-par's seq/par twin contract: the
-//! optimized path may re-round (FMA contracts mul+add into one rounding)
-//! but may never change a decision.
+//! serving path may re-round (FMA contracts mul+add into one rounding)
+//! but may never change a decision. The training kernels may not even
+//! re-round: a rounding difference would compound through every later
+//! weight update, so they are bit-exact twins (see
+//! `conv_backward_row`).
 //!
 //! Dispatch is resolved once per process: `DS_SIMD=off` (or `scalar`/`0`)
 //! forces the scalar twins; anything else probes the host with
@@ -16,7 +20,7 @@
 //! compare both paths in one process). Non-x86_64 builds compile to the
 //! scalar path unconditionally.
 //!
-//! One kernel family lives here: **f32 conv rows** (`frozen_conv_rows`),
+//! The serving kernel family is **f32 conv rows** (`frozen_conv_rows`),
 //! the frozen `[4 output rows] × [all input channels]` accumulation,
 //! vectorized over sixteen adjacent output positions. Each tap broadcast
 //! feeds eight f32x8 FMA accumulators, so one weight load performs 64
@@ -31,6 +35,13 @@
 //! window (`ds_camal::StreamingCamal`), never per conv position: every
 //! window is z-normalized on its own, so no conv output outlives the
 //! window it was computed for.
+//!
+//! The training pair is **conv backward rows** (`conv_backward_row`):
+//! the input gradient, four input rows × sixteen positions per step over
+//! a zero-padded copy of the output gradient, and the weight gradient,
+//! one lane per tap over a zero-padded copy of the input. Both multiply
+//! and add separately, as the scalar twins do, and dispatch through the
+//! same [`mode`]; dilated layers keep the scalar twins.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -359,12 +370,359 @@ unsafe fn f32_rows_avx2(
     }
 }
 
+/// Vectorized [`crate::conv::Conv1d`] backward over one batch row of a
+/// dense (dilation 1) convolution: accumulate the input gradient into
+/// `gi_rows` (`[in_channels, l]`) and the weight gradient into `gw`
+/// (`[out_channels, in_channels, kernel]`) from the cached input `x_rows`
+/// (`[in_channels, l]`) and the output gradient `g_rows`
+/// (`[out_channels, l]`). Returns `false` without touching either output
+/// when the SIMD path is disabled or unavailable — the caller runs the
+/// scalar twins.
+///
+/// Unlike [`frozen_conv_rows`], the result is **bit-identical** to the
+/// scalar twins, so training reproduces the same weights under either
+/// dispatch. Each element takes its products in the scalar order and
+/// rounds every product and every sum separately (`_mm256_mul_ps` then
+/// `_mm256_add_ps`, never FMA, matching the scalar `a += w * x`, which
+/// Rust never fuses). The zero-padded copies make a tap the scalar
+/// kernels skip add `w · 0 = ±0` to a sum that started at `+0`, which
+/// can never be `-0`, so it changes no bit (for finite gradients). The
+/// padded copies come from the [`crate::workspace`] pool.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_backward_row(
+    weight: &[f32],
+    in_channels: usize,
+    out_channels: usize,
+    kernel: usize,
+    pad: usize,
+    x_rows: &[f32],
+    g_rows: &[f32],
+    gi_rows: &mut [f32],
+    gw: &mut [f32],
+    l: usize,
+) -> bool {
+    if mode() != SimdMode::Avx2 {
+        return false;
+    }
+    // The kernels' unchecked loads and stores rely on these lengths.
+    assert!(
+        weight.len() >= out_channels * in_channels * kernel
+            && gw.len() >= out_channels * in_channels * kernel
+            && x_rows.len() >= in_channels * l
+            && gi_rows.len() >= in_channels * l
+            && g_rows.len() >= out_channels * l
+            && pad < kernel,
+        "conv backward buffers are smaller than the layer shape"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        let span = kernel - 1;
+        // `g` with `span - pad` zeros in front and room behind for the
+        // row's last (possibly partial) step: position `s`, tap `kk`
+        // reads `g_pad[s + span - kk] = g[s + pad - kk]`.
+        let g_stride = l.next_multiple_of(STEP) + span;
+        let mut g_pad = crate::workspace::take_buf(out_channels * g_stride);
+        for (oc, g_row) in g_rows.chunks_exact(l).take(out_channels).enumerate() {
+            g_pad[oc * g_stride + span - pad..][..l].copy_from_slice(g_row);
+        }
+        // `x` with `pad` zeros in front and room behind for the last tap
+        // vector: lane `kk` at position `t` reads `x_pad[t + kk] =
+        // x[t + kk - pad]`.
+        let tap_vecs = kernel.div_ceil(8);
+        let x_stride = l + 8 * tap_vecs - 1;
+        let mut x_pad = crate::workspace::take_buf(in_channels * x_stride);
+        for (ic, x_row) in x_rows.chunks_exact(l).take(in_channels).enumerate() {
+            x_pad[ic * x_stride + pad..][..l].copy_from_slice(x_row);
+        }
+        // SAFETY: `mode()` only reports Avx2 after `is_x86_feature_detected!`
+        // confirmed avx2 on this host; the buffer lengths are asserted
+        // above and the padded copies are sized here.
+        unsafe {
+            grad_input_avx2(
+                weight,
+                in_channels,
+                out_channels,
+                kernel,
+                &g_pad,
+                g_stride,
+                gi_rows,
+                l,
+            );
+            grad_weight_avx2(
+                in_channels,
+                out_channels,
+                kernel,
+                &x_pad,
+                x_stride,
+                g_rows,
+                gw,
+                l,
+            );
+        }
+        crate::workspace::recycle_buf(g_pad);
+        crate::workspace::recycle_buf(x_pad);
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Input gradient, `gi[ic][s] += Σ_oc Σ_kk w[oc][ic][kk] ·
+/// g[oc][s + pad - kk]`: four input rows × [`STEP`] positions per step,
+/// the accumulators held in registers across every output channel. Per
+/// element the products add in ascending `(oc, kk)` order, as the
+/// scalar `accumulate_corr4`/`accumulate_corr1` passes do one `oc` at a
+/// time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn grad_input_avx2(
+    weight: &[f32],
+    in_channels: usize,
+    out_channels: usize,
+    kernel: usize,
+    g_pad: &[f32],
+    g_stride: usize,
+    gi_rows: &mut [f32],
+    l: usize,
+) {
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows<const R: usize>(
+        weight: &[f32],
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        g_pad: &[f32],
+        g_stride: usize,
+        block: &mut [f32],
+        l: usize,
+        ic0: usize,
+    ) {
+        use std::arch::x86_64::*;
+        let span = kernel - 1;
+        let mut lanes = [[0.0f32; STEP]; R];
+        let mut s = 0;
+        while s < l {
+            // A row's last step may be partial: it goes through `lanes`.
+            let full = s + STEP <= l;
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for (r, a) in acc.iter_mut().enumerate() {
+                let src = if full {
+                    block.as_ptr().add(r * l + s)
+                } else {
+                    lanes[r] = [0.0; STEP];
+                    lanes[r][..l - s].copy_from_slice(&block[r * l + s..(r + 1) * l]);
+                    lanes[r].as_ptr()
+                };
+                *a = [_mm256_loadu_ps(src), _mm256_loadu_ps(src.add(8))];
+            }
+            for oc in 0..out_channels {
+                // In bounds: the loads read `g_pad[oc * g_stride + s ..
+                // + span + STEP]`, and `s + STEP <= g_stride - span`.
+                let g_base = g_pad.as_ptr().add(oc * g_stride + s + span);
+                let w_base = (oc * in_channels + ic0) * kernel;
+                for kk in 0..kernel {
+                    let g0 = _mm256_loadu_ps(g_base.sub(kk));
+                    let g1 = _mm256_loadu_ps(g_base.sub(kk).add(8));
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        let w = _mm256_set1_ps(*weight.get_unchecked(w_base + r * kernel + kk));
+                        a[0] = _mm256_add_ps(a[0], _mm256_mul_ps(w, g0));
+                        a[1] = _mm256_add_ps(a[1], _mm256_mul_ps(w, g1));
+                    }
+                }
+            }
+            for (r, a) in acc.iter().enumerate() {
+                // A full step's stores end at `r * l + s + STEP <= (r + 1) * l`.
+                let dst = if full {
+                    block.as_mut_ptr().add(r * l + s)
+                } else {
+                    lanes[r].as_mut_ptr()
+                };
+                _mm256_storeu_ps(dst, a[0]);
+                _mm256_storeu_ps(dst.add(8), a[1]);
+                if !full {
+                    block[r * l + s..(r + 1) * l].copy_from_slice(&lanes[r][..l - s]);
+                }
+            }
+            s += STEP;
+        }
+    }
+    let mut ic = 0;
+    while ic < in_channels {
+        let n = (in_channels - ic).min(4);
+        let block = &mut gi_rows[ic * l..(ic + n) * l];
+        macro_rules! go {
+            ($r:literal) => {
+                rows::<$r>(
+                    weight,
+                    in_channels,
+                    out_channels,
+                    kernel,
+                    g_pad,
+                    g_stride,
+                    block,
+                    l,
+                    ic,
+                )
+            };
+        }
+        match n {
+            4 => go!(4),
+            3 => go!(3),
+            2 => go!(2),
+            _ => go!(1),
+        }
+        ic += n;
+    }
+}
+
+/// Weight gradient, `gw[oc][ic][kk] += Σ_t g[oc][t] ·
+/// x[ic][t + kk - pad]`: one lane per tap (⌈k/8⌉ vectors per input
+/// row), four output channels per pass over `t`, each loaded input
+/// vector feeding all four. Every lane sums `t` in ascending order from
+/// `+0`, then adds into `gw` once, as the scalar `grad_weight_taps`
+/// does.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn grad_weight_avx2(
+    in_channels: usize,
+    out_channels: usize,
+    kernel: usize,
+    x_pad: &[f32],
+    x_stride: usize,
+    g_rows: &[f32],
+    gw: &mut [f32],
+    l: usize,
+) {
+    /// `R` output channels from `oc0` × `C` tap vectors (`cols[c] =
+    /// (ic, j)`: input row `ic`, taps `8j .. 8j + 8`) in one pass.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn pass<const R: usize, const C: usize>(
+        in_channels: usize,
+        kernel: usize,
+        x_pad: &[f32],
+        x_stride: usize,
+        g_rows: &[f32],
+        gw: &mut [f32],
+        l: usize,
+        oc0: usize,
+        cols: [(usize, usize); C],
+    ) {
+        use std::arch::x86_64::*;
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        // In bounds: a load reads `x_pad[ic * x_stride + 8j + t ..][..8]`,
+        // and `8j + t + 8 <= 8 * tap_vecs + l - 1 = x_stride`.
+        let x_base = cols.map(|(ic, j)| x_pad.as_ptr().add(ic * x_stride + 8 * j));
+        let g_base = g_rows.as_ptr().add(oc0 * l);
+        let mut xv = [_mm256_setzero_ps(); C];
+        for t in 0..l {
+            for (v, p) in xv.iter_mut().zip(&x_base) {
+                *v = _mm256_loadu_ps(p.add(t));
+            }
+            for (r, a) in acc.iter_mut().enumerate() {
+                let g = _mm256_set1_ps(*g_base.add(r * l + t));
+                for (c, &x) in xv.iter().enumerate() {
+                    a[c] = _mm256_add_ps(a[c], _mm256_mul_ps(g, x));
+                }
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            for (&v, &(ic, j)) in a.iter().zip(&cols) {
+                let mut taps = [0.0f32; 8];
+                _mm256_storeu_ps(taps.as_mut_ptr(), v);
+                let n = (kernel - 8 * j).min(8);
+                let at = ((oc0 + r) * in_channels + ic) * kernel + 8 * j;
+                for (dst, &tap) in gw[at..at + n].iter_mut().zip(&taps) {
+                    *dst += tap;
+                }
+            }
+        }
+    }
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn block<const R: usize>(
+        in_channels: usize,
+        kernel: usize,
+        x_pad: &[f32],
+        x_stride: usize,
+        g_rows: &[f32],
+        gw: &mut [f32],
+        l: usize,
+        oc0: usize,
+    ) {
+        // Two tap vectors per pass keep eight independent add chains.
+        let tap_vecs = kernel.div_ceil(8);
+        let col = |c: usize| (c / tap_vecs, c % tap_vecs);
+        let total = in_channels * tap_vecs;
+        let mut c = 0;
+        while c + 2 <= total {
+            let cols = [col(c), col(c + 1)];
+            pass::<R, 2>(
+                in_channels,
+                kernel,
+                x_pad,
+                x_stride,
+                g_rows,
+                gw,
+                l,
+                oc0,
+                cols,
+            );
+            c += 2;
+        }
+        if c < total {
+            let cols = [col(c)];
+            pass::<R, 1>(
+                in_channels,
+                kernel,
+                x_pad,
+                x_stride,
+                g_rows,
+                gw,
+                l,
+                oc0,
+                cols,
+            );
+        }
+    }
+    let mut oc = 0;
+    while oc < out_channels {
+        let n = (out_channels - oc).min(4);
+        macro_rules! go {
+            ($r:literal) => {
+                block::<$r>(in_channels, kernel, x_pad, x_stride, g_rows, gw, l, oc)
+            };
+        }
+        match n {
+            4 => go!(4),
+            3 => go!(3),
+            2 => go!(2),
+            _ => go!(1),
+        }
+        oc += n;
+    }
+}
+
+/// Serializes the crate's unit tests that switch the process-global
+/// dispatch, so each runs start to finish under the mode it set.
+#[cfg(test)]
+pub(crate) fn lock_dispatch() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn label_matches_mode() {
+        let _dispatch = lock_dispatch();
         set_mode(Some(SimdMode::Scalar));
         assert_eq!(label(), "scalar");
         assert_eq!(mode(), SimdMode::Scalar);
@@ -388,6 +746,7 @@ mod tests {
         {
             return; // nothing to compare on this host
         }
+        let _dispatch = lock_dispatch();
         for kernel in [1usize, 3, 5, 9, 15] {
             for l in [5usize, 16, 24, 40, 73] {
                 for (ci, co) in [(1usize, 4usize), (3, 4), (2, 6)] {

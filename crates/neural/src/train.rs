@@ -31,18 +31,6 @@ pub trait NeuralNet: VisitParams {
 
     /// Backward from logit gradients (after a training-mode forward).
     fn backward(&mut self, grad_logits: &Matrix);
-
-    /// Positive-class probability per batch row, inference mode.
-    fn predict_positive_proba(&mut self, x: &Tensor) -> Vec<f32> {
-        let logits = self.forward(x, false);
-        let mut probs = Vec::with_capacity(logits.rows);
-        let mut row = vec![0.0f32; logits.cols];
-        for r in 0..logits.rows {
-            softmax_row(logits.row(r), &mut row);
-            probs.push(row[1]);
-        }
-        probs
-    }
 }
 
 impl NeuralNet for ResNet {
@@ -52,10 +40,6 @@ impl NeuralNet for ResNet {
 
     fn backward(&mut self, grad_logits: &Matrix) {
         ResNet::backward(self, grad_logits);
-    }
-
-    fn predict_positive_proba(&mut self, x: &Tensor) -> Vec<f32> {
-        ResNet::predict_positive_proba(self, x)
     }
 }
 
@@ -129,7 +113,12 @@ impl TrainConfig {
 pub struct TrainReport {
     /// Mean training loss per epoch actually run.
     pub epoch_losses: Vec<f32>,
-    /// Training accuracy after the final epoch.
+    /// Accuracy of the last epoch's training-mode forwards: the share of
+    /// the windows that epoch trained on whose logits, softmaxed, give
+    /// the positive class a probability `> 0.5` exactly when the label is
+    /// positive. Each batch is scored by the forward that computed its
+    /// loss — batch-norm batch statistics and the weights before that
+    /// batch's step — so it costs no extra pass. 0.0 if no epoch ran.
     pub train_accuracy: f32,
     /// Whether early stopping triggered.
     pub early_stopped: bool,
@@ -153,6 +142,18 @@ pub fn batch_ranges(n: usize, batch_size: usize) -> Vec<Range<usize>> {
         start = end;
     }
     ranges
+}
+
+/// Windows of a batch whose logits decide their label, by the rule
+/// [`TrainReport::train_accuracy`] documents.
+fn correct_predictions(logits: &Matrix, labels: &[u8]) -> usize {
+    let mut probs = vec![0.0f32; logits.cols];
+    (0..logits.rows)
+        .filter(|&r| {
+            softmax_row(logits.row(r), &mut probs);
+            u8::from(probs[1] > 0.5) == labels[r]
+        })
+        .count()
 }
 
 /// Inverse-frequency class weights for binary labels, normalized to mean 1.
@@ -195,6 +196,7 @@ pub fn train_classifier(
     let mut best = f32::INFINITY;
     let mut since_best = 0usize;
     let mut early_stopped = false;
+    let mut train_accuracy = 0.0f32;
 
     for epoch in 0..cfg.epochs {
         let epoch_start = ds_obs::enabled().then(std::time::Instant::now);
@@ -202,6 +204,7 @@ pub fn train_classifier(
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
         let mut samples = 0usize;
+        let mut correct = 0usize;
         for range in &ranges {
             let chunk = &order[range.clone()];
             // Gather the batch into the reused workspace tensor — no
@@ -216,6 +219,7 @@ pub fn train_classifier(
                 &batch_labels,
                 class_weights.as_ref().map(|w| &w[..]),
             );
+            correct += correct_predictions(&logits, &batch_labels);
             net.backward(&grad);
             opt.step(net);
             loss_sum += loss as f64;
@@ -224,6 +228,7 @@ pub fn train_classifier(
         }
         let epoch_loss = (loss_sum / batches.max(1) as f64) as f32;
         epoch_losses.push(epoch_loss);
+        train_accuracy = correct as f32 / samples.max(1) as f32;
         if let Some(start) = epoch_start {
             // Gradient L2 norm of the last batch, computed only when
             // observability is on (it walks every parameter tensor).
@@ -254,22 +259,9 @@ pub fn train_classifier(
         }
     }
 
-    // Final training accuracy (inference mode, batched to bound memory,
-    // gathered through the same reused workspace buffer as training).
-    let mut correct = 0usize;
-    for chunk in (0..windows.len()).collect::<Vec<_>>().chunks(64) {
-        let x = ws.gather(windows, chunk);
-        let probs = net.predict_positive_proba(x);
-        for (j, &i) in chunk.iter().enumerate() {
-            let pred = u8::from(probs[j] > 0.5);
-            if pred == labels[i] {
-                correct += 1;
-            }
-        }
-    }
     TrainReport {
         epoch_losses,
-        train_accuracy: correct as f32 / windows.len() as f32,
+        train_accuracy,
         early_stopped,
     }
 }
@@ -299,10 +291,13 @@ pub fn train_classifier_reference(
     let mut best = f32::INFINITY;
     let mut since_best = 0usize;
     let mut early_stopped = false;
+    let mut train_accuracy = 0.0f32;
     for _epoch in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut loss_sum = 0.0f64;
         let mut batches = 0usize;
+        let mut samples = 0usize;
+        let mut correct = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(2)) {
             if chunk.len() < 2 && order.len() >= 2 {
                 continue;
@@ -317,13 +312,16 @@ pub fn train_classifier_reference(
                 &batch_labels,
                 class_weights.as_ref().map(|w| &w[..]),
             );
+            correct += correct_predictions(&logits, &batch_labels);
             net.backward(&grad);
             opt.step(net);
             loss_sum += loss as f64;
             batches += 1;
+            samples += chunk.len();
         }
         let epoch_loss = (loss_sum / batches.max(1) as f64) as f32;
         epoch_losses.push(epoch_loss);
+        train_accuracy = correct as f32 / samples.max(1) as f32;
         if epoch_loss + 1e-5 < best {
             best = epoch_loss;
             since_best = 0;
@@ -335,21 +333,9 @@ pub fn train_classifier_reference(
             }
         }
     }
-    let mut correct = 0usize;
-    for chunk in (0..windows.len()).collect::<Vec<_>>().chunks(64) {
-        let batch: Vec<Vec<f32>> = chunk.iter().map(|&i| windows[i].clone()).collect();
-        let x = Tensor::from_windows(&batch);
-        let probs = net.predict_positive_proba(&x);
-        for (j, &i) in chunk.iter().enumerate() {
-            let pred = u8::from(probs[j] > 0.5);
-            if pred == labels[i] {
-                correct += 1;
-            }
-        }
-    }
     TrainReport {
         epoch_losses,
-        train_accuracy: correct as f32 / windows.len() as f32,
+        train_accuracy,
         early_stopped,
     }
 }

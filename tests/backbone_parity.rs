@@ -20,8 +20,14 @@ use ds_neural::simd::{self, SimdMode};
 use ds_neural::tensor::Tensor;
 use ds_neural::train::{train_classifier, TrainConfig};
 use ds_neural::{Backbone, DetectorNet, InferenceArena};
+use std::sync::Mutex;
 
 const WINDOW: usize = 64;
+
+/// Serializes the test that switches the process-global SIMD dispatch
+/// with the allocation test: a switch between its warm-up and its
+/// measured calls could add allocations.
+static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// A small linearly separable corpus: odd windows carry a burst.
 fn corpus(n: usize) -> (Vec<Vec<f32>>, Vec<u8>) {
@@ -107,6 +113,7 @@ fn frozen_plans_match_the_mutable_path_for_every_backbone() {
 /// path must each reproduce the mutable reference.
 #[test]
 fn backbone_contract_holds_under_both_dispatches() {
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (dispatch, mode) in [
         ("scalar", SimdMode::Scalar),
         // Falls back to scalar on hosts without AVX2 — the golden then
@@ -184,6 +191,7 @@ fn trained_camal(windows: &[Vec<f32>], labels: &[u8], backbones: Vec<Backbone>) 
 /// every backbone.
 #[test]
 fn frozen_steady_state_allocates_nothing_for_every_backbone() {
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for (i, backbone) in Backbone::ALL.into_iter().enumerate() {
         let net = trained_net(backbone, 900 + i as u64);
         let frozen = net.freeze();

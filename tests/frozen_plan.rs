@@ -25,8 +25,11 @@ use std::sync::Mutex;
 
 const WINDOW: usize = 64;
 
-/// Serializes the tests that switch the process-global SIMD dispatch:
-/// the bit pins must run start to finish on the scalar kernels.
+/// Serializes the tests that switch the process-global SIMD dispatch
+/// with the tests that need it to hold still: the bit pins must run start
+/// to finish under the dispatch they set, and a switch between an
+/// allocation test's warm-up and its measured calls could add
+/// allocations.
 static DISPATCH: Mutex<()> = Mutex::new(());
 
 /// A small linearly separable corpus: odd windows carry a burst.
@@ -153,6 +156,7 @@ fn frozen_contract_holds_under_both_dispatches() {
 
 #[test]
 fn frozen_steady_state_allocates_nothing_across_batches() {
+    let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     let mut net = trained_net(9, vec![4, 8], 300);
     let frozen = FrozenResNet::freeze(&net);
     let mut arena = InferenceArena::new();
@@ -208,6 +212,12 @@ fn plan_digest(
 /// The goldens above only bound the plans within tolerance; these pins
 /// catch any change to what the plans compute, so a refactor of the plan
 /// types must leave them untouched. Per backbone: `(params, outputs)`.
+///
+/// Training is bit-identical under both dispatches, so each backbone is
+/// also trained under [`SimdMode::Avx2`] and must reproduce the same
+/// `params` pin (on hosts without AVX2 that run re-checks the scalar
+/// twin). The outputs pin stays scalar-only: the AVX2 inference kernels
+/// round differently.
 #[test]
 fn plans_are_bit_pinned_on_the_scalar_kernels() {
     const PINS: [(Backbone, [u64; 2]); 3] = [
@@ -225,7 +235,6 @@ fn plans_are_bit_pinned_on_the_scalar_kernels() {
         ),
     ];
     let _dispatch = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
-    simd::set_mode(Some(SimdMode::Scalar));
     let x = eval_input(4);
     let (windows, labels) = corpus(16);
     let cfg = TrainConfig {
@@ -234,15 +243,26 @@ fn plans_are_bit_pinned_on_the_scalar_kernels() {
         patience: None,
         ..TrainConfig::default()
     };
+    let trained = |backbone: Backbone, mode: SimdMode| {
+        simd::set_mode(Some(mode));
+        let mut net = DetectorNet::for_backbone(backbone, 1, &[4, 8], 5, 2, 600);
+        train_classifier(&mut net, &windows, &labels, &cfg);
+        net.freeze()
+    };
     let got: Vec<(Backbone, [u64; 2])> = Backbone::ALL
         .into_iter()
         .map(|backbone| {
-            let mut net = DetectorNet::for_backbone(backbone, 1, &[4, 8], 5, 2, 600);
-            train_classifier(&mut net, &windows, &labels, &cfg);
-            let plan = net.freeze();
+            let plan = trained(backbone, SimdMode::Scalar);
             let (params, outputs) =
                 plan_digest(plan.param_bits(), &x, |arena| plan.predict_into(&x, arena));
             (backbone, [params, outputs])
+        })
+        .collect();
+    let avx2_params: Vec<(Backbone, u64)> = Backbone::ALL
+        .into_iter()
+        .map(|backbone| {
+            let plan = trained(backbone, SimdMode::Avx2);
+            (backbone, fnv1a(plan.param_bits()))
         })
         .collect();
     simd::set_mode(None);
@@ -250,4 +270,9 @@ fn plans_are_bit_pinned_on_the_scalar_kernels() {
         eprintln!("{backbone:?}: {pins:#x?}");
     }
     assert_eq!(got, PINS, "plan bits moved (printed above in hex)");
+    let pinned_params: Vec<(Backbone, u64)> = PINS.iter().map(|(b, [p, _])| (*b, *p)).collect();
+    assert_eq!(
+        avx2_params, pinned_params,
+        "training under AVX2 dispatch moved the params pin"
+    );
 }

@@ -5,24 +5,28 @@
 //! to the sequential path. Micro-batch heights are constants
 //! (`ds_neural::workspace::MICRO_ROWS`) and partial gradients fold in
 //! slot order, so the only thing `DS_PAR_THREADS` changes is wall time.
+//! The same holds across SIMD dispatch: the AVX2 backward kernels are
+//! the bit-exact twins of the scalar ones, so `DS_SIMD` changes only
+//! wall time too.
 //!
-//! All tests flip the process-wide worker override, so they serialize
-//! through one lock.
+//! All tests flip a process-wide override (the worker count or the SIMD
+//! dispatch), so they serialize through one lock.
 
 use devicescope::camal::{CamalConfig, ResNetEnsemble};
 use devicescope::neural::resnet::{ResNet, ResNetConfig};
+use devicescope::neural::simd::{self, SimdMode};
 use devicescope::neural::train::{train_classifier, TrainConfig};
 use devicescope::neural::VisitParams;
 use devicescope::par;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run `f` once per worker count in `0, 2, 4, 8` (0 = sequential
 /// fallback) and return the outputs next to the 1-worker reference.
 fn across_worker_counts<R>(f: impl Fn() -> R) -> (R, Vec<(usize, R)>) {
-    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_threads(Some(1));
     let reference = f();
     let runs = [0usize, 2, 4, 8]
@@ -66,8 +70,9 @@ fn train_fingerprint(
     windows: &[Vec<f32>],
     labels: &[u8],
     cfg: &TrainConfig,
+    kernel: usize,
 ) -> (Vec<u32>, Vec<u32>, u32) {
-    let mut net = ResNet::new(ResNetConfig::tiny(5, 7));
+    let mut net = ResNet::new(ResNetConfig::tiny(kernel, 7));
     let report = train_classifier(&mut net, windows, labels, cfg);
     (
         weight_bits(&mut net),
@@ -96,12 +101,44 @@ proptest! {
             ..TrainConfig::default()
         };
         let (reference, runs) =
-            across_worker_counts(|| train_fingerprint(&windows, &labels, &cfg));
+            across_worker_counts(|| train_fingerprint(&windows, &labels, &cfg, 5));
         for (w, run) in runs {
             prop_assert_eq!(&reference.0, &run.0, "weights diverged, workers = {}", w);
             prop_assert_eq!(&reference.1, &run.1, "losses diverged, workers = {}", w);
             prop_assert_eq!(reference.2, run.2, "accuracy diverged, workers = {}", w);
         }
+    }
+
+    /// SIMD dispatch: training under the AVX2 kernels reproduces the
+    /// scalar twins' weights, losses and accuracy bit for bit (on hosts
+    /// without AVX2 both runs take the scalar path). Kernel widths cover
+    /// the const-dispatched and fallback scalar paths.
+    #[test]
+    fn classifier_training_is_bit_identical_across_simd_dispatch(
+        n in prop::sample::select(vec![9usize, 12, 17]),
+        batch in prop::sample::select(vec![4usize, 8]),
+        kernel in prop::sample::select(vec![3usize, 4, 5, 9, 11]),
+        jitter in 0u32..1000,
+    ) {
+        let (windows, labels) = toy_corpus(n, 24, jitter);
+        let cfg = TrainConfig {
+            epochs: 3,
+            batch_size: batch,
+            patience: None,
+            ..TrainConfig::default()
+        };
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let run = |mode: SimdMode| {
+            simd::set_mode(Some(mode));
+            let out = train_fingerprint(&windows, &labels, &cfg, kernel);
+            simd::set_mode(None);
+            out
+        };
+        let scalar = run(SimdMode::Scalar);
+        let avx2 = run(SimdMode::Avx2);
+        prop_assert_eq!(&scalar.0, &avx2.0, "weights diverged, kernel = {}", kernel);
+        prop_assert_eq!(&scalar.1, &avx2.1, "losses diverged, kernel = {}", kernel);
+        prop_assert_eq!(scalar.2, avx2.2, "accuracy diverged, kernel = {}", kernel);
     }
 
     /// Ensemble training: member fan-out on top of the layer fan-outs
