@@ -30,8 +30,8 @@ cargo build --release
 echo "==> tier-1 and every member crate's tests: cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> scalar twin: tier-1 and the plan crates' tests with DS_SIMD=off"
-DS_SIMD=off cargo test -q -p devicescope -p ds-neural -p ds-camal
+echo "==> scalar twin: tier-1, the plan crates' and the baselines' tests with DS_SIMD=off"
+DS_SIMD=off cargo test -q -p devicescope -p ds-neural -p ds-camal -p ds-baselines
 
 echo "==> benchmark: perfbench builds and passes its tests with its lockfile unchanged"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml

@@ -336,6 +336,25 @@ mod tests {
         assert!(on_mean > off_mean, "on {on_mean} vs off {off_mean}");
     }
 
+    /// The dilated TCN trains on the AVX2 forward (every dilation fits the
+    /// vector kernel) and the scalar backward of its dilated layers; both
+    /// dispatches must produce the same weight and loss bits.
+    #[test]
+    fn tcn_training_is_bit_identical_across_simd_dispatch() {
+        use ds_neural::simd::{self, SimdMode};
+        let (windows, targets) = toy_seq_corpus(12, 40);
+        let run = |mode: SimdMode| {
+            simd::set_mode(Some(mode));
+            let mut net = archs::tcn(5);
+            let losses = train_seq2seq(&mut net, &windows, &targets, &SeqTrainConfig::fast());
+            simd::set_mode(None);
+            let mut bits: Vec<u32> = losses.iter().map(|v| v.to_bits()).collect();
+            net.visit_params(&mut |params, _| bits.extend(params.iter().map(|v| v.to_bits())));
+            bits
+        };
+        assert_eq!(run(SimdMode::Scalar), run(SimdMode::Avx2));
+    }
+
     #[test]
     fn gradient_flow_through_parallel_sum() {
         use ds_neural::VisitParams;

@@ -91,10 +91,12 @@ const fn frozen(case: &'static str, floor_avx2: f64, floor_scalar: f64) -> Gate 
 /// Every perf case, in suite order. A case the fresh run lacks fails, and
 /// so does a fresh case with no row here.
 pub const GATES: &[Gate] = &[
-    // Conv forward through `infer_into`: zero allocations per pass.
+    // The `Conv1d` forward on the AVX2 kernel against its bit-exact
+    // scalar twin, one worker each, through `infer_into`: zero
+    // allocations per pass. Absolute floors only, as for `conv_backward`.
     Gate {
-        allocs: ZERO_ALLOC,
-        ..flat("conv_forward")
+        relative: 0.0,
+        ..frozen("conv_forward", 2.0, 0.8)
     },
     // The SIMD conv kernel against its scalar twin. Under scalar dispatch
     // both sides run the same code, so the floor there is parity minus

@@ -1,21 +1,26 @@
 //! Performance harness for the serving substrate: sequential-vs-parallel
-//! baselines for ds-par, frozen-vs-mutable baselines for the BN-folded
-//! inference plan, and the cost of ds-obs instrumentation.
+//! baselines for ds-par, scalar-vs-AVX2 baselines for the conv kernels,
+//! frozen-vs-mutable baselines for the BN-folded inference plan, and the
+//! cost of ds-obs instrumentation.
 //!
 //! Every case times a reference path pinned to one worker
 //! (`ds_par::set_threads(Some(1))`) against an optimized path at the
 //! configured team size. Each ds-par case runs the same workload on both
-//! sides. Each frozen case runs the mutable reference path (the trainable
+//! sides. Each kernel case (`conv_forward`, `frozen_conv`,
+//! `conv_backward`) runs the scalar twin against the dispatched kernel.
+//! Each frozen case runs the mutable reference path (the trainable
 //! ensemble) against the frozen plan ([`ds_camal::FrozenCamal`] /
 //! [`ds_camal::FrozenEnsemble`]), which is sequential by design, so its
-//! ratio reads the same on one core and on many. All paths are timed
-//! over interleaved rounds after one untimed warmup iteration per path
-//! (the warmup also sizes the frozen arenas, so the timed region is the
-//! steady state). A round times one pass of each path back to back, so
-//! host-load drift hits both equally; the speedup is the median of the
-//! per-round ratios, and each throughput number projects the path's
-//! fastest round (external noise only ever adds time, so the minimum is
-//! the estimator closest to intrinsic cost). See `sample_paths`.
+//! ratio reads the same on one core and on many; `frozen_predict` and
+//! `frozen_localize` pin that reference to the scalar kernels. All paths
+//! are timed over interleaved rounds after one untimed warmup iteration
+//! per path (the warmup also sizes the frozen arenas, so the timed region
+//! is the steady state). A round times one pass of each path back to
+//! back, so host-load drift hits both equally; the speedup is the median
+//! of the per-round ratios, and each throughput number projects the
+//! path's fastest round (external noise only ever adds time, so the
+//! minimum is the estimator closest to intrinsic cost). See
+//! `sample_paths`.
 //!
 //! Contracts enforced on every run:
 //! - ds-par cases compare outputs **bit for bit** — parallelism never
@@ -201,6 +206,14 @@ fn seq<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
+/// Run `f` on the scalar kernels, then restore the resolved dispatch.
+fn on_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
+    simd::set_mode(Some(SimdMode::Scalar));
+    let out = f();
+    simd::set_mode(None);
+    out
+}
+
 /// The fastest observed sample. On a shared host every slowdown source
 /// (scheduler preemption, frequency drift, cache pollution from
 /// neighbours) only *adds* time, so the minimum is the estimator closest
@@ -327,7 +340,14 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Conv1d forward over a paper-scale layer (8→16 channels, k = 9).
+/// The `Conv1d` forward over a paper-scale layer (8→16 channels, k = 9),
+/// the forward twin of [`conv_backward_case`]: scalar twin vs the
+/// dispatched path, both pinned to one worker so the ratio is the
+/// kernels' alone. The AVX2 forward multiplies and adds separately, so
+/// `bit_identical` means the outputs match bit for bit. On hosts without
+/// AVX2 (or with `DS_SIMD=off`) both paths run the scalar twin and the
+/// speedup reads 1.0×. The timed loops reuse one output tensor each via
+/// `infer_into`, so the dispatched pass must not allocate.
 fn conv_forward_case(scale: PerfScale) -> PerfCase {
     let conv = Conv1d::new(8, 16, 9, 1);
     let x = Tensor::from_data(
@@ -338,20 +358,22 @@ fn conv_forward_case(scale: PerfScale) -> PerfCase {
             .map(|i| ((i % 97) as f32 - 48.0) * 0.021)
             .collect(),
     );
-    let reference = seq(|| conv.infer(&x));
-    let parallel = conv.infer(&x);
-    let identical = bits(&reference.data) == bits(&parallel.data);
-    assert!(identical, "conv forward: parallel output diverged");
+    let scalar = on_scalar_kernels(|| seq(|| conv.infer(&x)));
+    let dispatched = seq(|| conv.infer(&x));
+    let identical = bits(&scalar.data) == bits(&dispatched.data);
+    assert!(identical, "conv forward: SIMD output diverged from scalar");
     let elements = (scale.batch * 16 * scale.window) as u64;
-    // The timed loop reuses one output tensor via `infer_into` — the hot
-    // serving paths never allocate per pass, so the measured loop must
-    // not either (`allocs_per_window` regressed to 0.0625 when this loop
-    // went through the allocating `infer`).
+    let mut y_scalar = Tensor::zeros(scale.batch, 16, scale.window);
     let mut y = Tensor::zeros(scale.batch, 16, scale.window);
-    assert_zero_alloc(|| conv.infer_into(&x, &mut y), "conv forward");
-    let timing = sample_same_path(scale.iters, scale.batch as u64, || {
-        conv.infer_into(&x, &mut y);
-    });
+    assert_zero_alloc(|| seq(|| conv.infer_into(&x, &mut y)), "conv forward");
+    let timing = sample_paths(
+        scale.iters,
+        scale.batch as u64,
+        || on_scalar_kernels(|| conv.infer_into(&x, &mut y_scalar)),
+        || {
+            seq(|| conv.infer_into(&x, &mut y));
+        },
+    );
     build_case("conv_forward", elements, scale.iters, identical, 0, timing)
 }
 
@@ -372,9 +394,7 @@ fn frozen_conv_case(scale: PerfScale) -> PerfCase {
     let n_out = scale.batch * 16 * scale.window;
     let mut y_scalar = vec![0.0f32; n_out];
     let mut y_simd = vec![0.0f32; n_out];
-    simd::set_mode(Some(SimdMode::Scalar));
-    frozen.infer_into(&x, scale.batch, scale.window, &mut y_scalar, true);
-    simd::set_mode(None);
+    on_scalar_kernels(|| frozen.infer_into(&x, scale.batch, scale.window, &mut y_scalar, true));
     frozen.infer_into(&x, scale.batch, scale.window, &mut y_simd, true);
     let within_tolerance = y_scalar
         .iter()
@@ -386,9 +406,9 @@ fn frozen_conv_case(scale: PerfScale) -> PerfCase {
         scale.iters,
         scale.batch as u64,
         || {
-            simd::set_mode(Some(SimdMode::Scalar));
-            frozen.infer_into(&x, scale.batch, scale.window, &mut y_scalar, true);
-            simd::set_mode(None);
+            on_scalar_kernels(|| {
+                frozen.infer_into(&x, scale.batch, scale.window, &mut y_scalar, true)
+            })
         },
         || {
             frozen.infer_into(&x, scale.batch, scale.window, &mut y_simd, true);
@@ -452,9 +472,7 @@ fn conv_backward_case(scale: PerfScale) -> PerfCase {
         scale.iters,
         scale.batch as u64,
         || {
-            simd::set_mode(Some(SimdMode::Scalar));
-            cell.borrow_mut().backward(&g);
-            simd::set_mode(None);
+            on_scalar_kernels(|| cell.borrow_mut().backward(&g));
         },
         || {
             seq(|| cell.borrow_mut().backward(&g));
@@ -696,7 +714,10 @@ fn assert_zero_alloc(mut pass: impl FnMut(), what: &str) {
 }
 
 /// Frozen ensemble prediction (probabilities + CAMs) against the mutable
-/// reference path.
+/// reference path on the scalar kernels. The reference has always been
+/// the mutable path on scalar kernels; since that path runs the AVX2
+/// forward too, the pin keeps the row measuring what its 3.0× floor was
+/// set against.
 fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
     let ensemble = model.ensemble();
     let windows = serving_windows(scale);
@@ -723,7 +744,7 @@ fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
         scale.iters,
         scale.batch as u64,
         || {
-            ensemble.predict(&x);
+            on_scalar_kernels(|| ensemble.predict(&x));
         },
         || {
             frozen.predict_into(&x);
@@ -742,16 +763,24 @@ fn frozen_predict_case(scale: PerfScale, model: &Camal) -> PerfCase {
 
 /// Frozen end-to-end localization (steps 1–6 through the reused
 /// [`ds_camal::LocalizationBatch`] slabs) against the mutable batched
-/// reference path.
+/// reference path on the scalar kernels, pinned as in
+/// [`frozen_predict_case`].
 fn frozen_localize_case(scale: PerfScale, model: &Camal) -> PerfCase {
-    localize_parity_case("frozen_localize", scale, model)
+    localize_parity_case("frozen_localize", scale, model, true)
 }
 
 /// Shared body of [`frozen_localize_case`] and the per-backbone zoo
 /// cases: end-to-end frozen localization of `model` against its mutable
 /// path, holding the standard contracts (probabilities within `1e-4`,
-/// zero decision flips, zero steady-state allocations).
-fn localize_parity_case(name: &str, scale: PerfScale, model: &Camal) -> PerfCase {
+/// zero decision flips, zero steady-state allocations). The timed
+/// mutable path runs on the scalar kernels when `scalar_reference` is
+/// set, under the live dispatch otherwise.
+fn localize_parity_case(
+    name: &str,
+    scale: PerfScale,
+    model: &Camal,
+    scalar_reference: bool,
+) -> PerfCase {
     let windows = serving_windows(scale);
     let refs: Vec<&[f32]> = windows.iter().map(|w| w.as_slice()).collect();
     let mut frozen = model.freeze();
@@ -779,7 +808,11 @@ fn localize_parity_case(name: &str, scale: PerfScale, model: &Camal) -> PerfCase
         scale.iters,
         scale.batch as u64,
         || {
-            model.localize_batch(&refs);
+            if scalar_reference {
+                on_scalar_kernels(|| model.localize_batch(&refs));
+            } else {
+                model.localize_batch(&refs);
+            }
         },
         || {
             frozen.localize_batch_into(&refs);
@@ -1101,7 +1134,7 @@ fn run_cases(scale: PerfScale, model: &Camal, zoo: &[(&str, &Camal)]) -> Vec<Per
     // speedup floor calibrates to the ResNet conv stack and does not
     // transfer to attention-heavy backbones.
     for (name, backbone_model) in zoo {
-        cases.push(localize_parity_case(name, scale, backbone_model));
+        cases.push(localize_parity_case(name, scale, backbone_model, false));
     }
     cases.push(streaming_predict_case(scale, model));
     cases.push(serve_throughput_case(scale, model));

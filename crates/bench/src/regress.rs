@@ -445,20 +445,20 @@ mod tests {
                 synthetic_case("frozen_predict", 5.5),
                 synthetic_case("frozen_conv", 5.3),
                 synthetic_case("streaming_predict", 8.0),
-                synthetic_case("conv_forward", 1.1),
+                synthetic_case("conv_forward", 6.0),
                 synthetic_serve_case(0.9, 6.0),
             ],
         );
-        // frozen_conv at 1.0×: twin-vs-twin is parity by construction
-        // under scalar dispatch, so the 1.15× frozen floor must not
-        // apply to it.
+        // frozen_conv and conv_forward at 1.0×: twin-vs-twin is parity by
+        // construction under scalar dispatch, so the 1.15× frozen floor
+        // must not apply to them.
         let twin = synthetic_report(
             "scalar",
             vec![
                 synthetic_case("frozen_predict", 1.2),
                 synthetic_case("frozen_conv", 1.0),
                 synthetic_case("streaming_predict", 5.8),
-                synthetic_case("conv_forward", 0.5),
+                synthetic_case("conv_forward", 1.0),
                 // Serve has no SIMD split and the relative floor is
                 // skipped on the dispatch mismatch, so 0.5 only has to
                 // clear the absolute 0.4 collapse floor.

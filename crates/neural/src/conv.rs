@@ -11,15 +11,18 @@
 //! rows are independent, so the parallel output is bit-identical to the
 //! sequential one, and the backward weight-gradient reduction uses a
 //! *fixed* chunk size so its summation tree is also identical under any
-//! worker count. Where AVX2 dispatches, the backward of a dense layer
-//! runs the [`crate::simd`] backward kernels instead of the scalar ones
-//! here; they are bit-exact twins, so trained weights are also identical
-//! under either `DS_SIMD` setting.
+//! worker count. Where AVX2 dispatches, the forward (each block of four
+//! output channels, `conv_rows`) and the backward of a dense layer run
+//! the [`crate::simd`] kernels instead of the scalar ones here; they
+//! multiply and add separately, so they are bit-exact twins and trained
+//! weights are also identical under either `DS_SIMD` setting. The frozen
+//! plans run the same forward with FMA (`Rounding::Fused`).
 //!
 //! Shape convention: input `[B, C_in, L]` → output `[B, C_out, L]`
 //! (stride 1, zero padding `k/2`; for even `k` the output is anchored so
 //! position `t` sees `x[t - k/2 .. t + (k - 1)/2]`).
 
+use crate::simd::Rounding;
 use crate::tensor::Tensor;
 use crate::VisitParams;
 use serde::{Deserialize, Serialize};
@@ -90,18 +93,19 @@ impl Conv1d {
         (self.kernel - 1) * self.dilation / 2
     }
 
-    #[cfg_attr(not(test), allow(dead_code))] // used by the reference impl in tests
-    #[inline]
-    fn w_row(&self, oc: usize, ic: usize) -> &[f32] {
-        let start = (oc * self.in_channels + ic) * self.kernel;
-        &self.weight[start..start + self.kernel]
-    }
-
-    /// Forward pass. In training mode the input is cached for backward.
+    /// Forward pass. In training mode the input is cached for backward,
+    /// copied into the previous step's cache when the shape matches.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = self.infer(x);
         if train {
-            self.cached_input = Some(x.clone());
+            let reusable = self
+                .cached_input
+                .as_mut()
+                .filter(|c| c.shape() == x.shape() && crate::workspace::buffer_reuse());
+            match reusable {
+                Some(cached) => cached.data.copy_from_slice(&x.data),
+                None => self.cached_input = Some(x.clone()),
+            }
         }
         y
     }
@@ -112,7 +116,8 @@ impl Conv1d {
     /// Batch rows are filled in parallel (each row is an independent
     /// computation, so the result is bit-identical to the sequential
     /// path); within a row, output channels are processed four at a time
-    /// by the register-blocked kernels.
+    /// by the AVX2 or the register-blocked scalar kernels, bit-identical
+    /// to each other.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let (b, _, l) = x.shape();
         let mut y = Tensor::zeros(b, self.out_channels, l);
@@ -172,41 +177,23 @@ impl Conv1d {
             .min(b.max(1))
     }
 
-    /// One batch row of the forward pass: bias fill, then blocks of four
-    /// output channels accumulated against each input row in one pass.
+    /// One batch row of the forward pass ([`conv_rows`] with separate
+    /// rounding): the AVX2 kernel where it dispatches, the scalar
+    /// [`accumulate_conv4`] twin elsewhere, bit-identical either way.
     fn infer_row(&self, x: &Tensor, bi: usize, y_rows: &mut [f32], l: usize) {
-        let pad = self.pad_left();
-        let k = self.kernel;
-        let mut oc = 0;
-        while oc < self.out_channels {
-            let rows = (self.out_channels - oc).min(4);
-            let block = &mut y_rows[oc * l..(oc + rows) * l];
-            for (r, row) in block.chunks_mut(l).enumerate() {
-                row.fill(self.bias[oc + r]);
-            }
-            for ic in 0..self.in_channels {
-                let x_row = x.row(bi, ic);
-                let w_at = |r: usize| {
-                    let start = ((oc + r) * self.in_channels + ic) * k;
-                    &self.weight[start..start + k]
-                };
-                if rows == 4 {
-                    let w = [w_at(0), w_at(1), w_at(2), w_at(3)];
-                    accumulate_conv4(block, l, x_row, w, k, pad, self.dilation, false);
-                } else {
-                    for (r, y_row) in block.chunks_mut(l).enumerate() {
-                        accumulate_conv(
-                            y_row,
-                            x_row,
-                            w_at(r),
-                            pad as isize,
-                            self.dilation as isize,
-                        );
-                    }
-                }
-            }
-            oc += rows;
-        }
+        let x_rows = &x.data[bi * self.in_channels * l..][..self.in_channels * l];
+        conv_rows(
+            Rounding::Separate,
+            &self.weight,
+            &self.bias,
+            self.in_channels,
+            self.kernel,
+            self.dilation,
+            x_rows,
+            y_rows,
+            l,
+            false,
+        );
     }
 
     /// Backward pass: accumulates weight/bias gradients and returns the
@@ -345,13 +332,93 @@ impl Conv1d {
     }
 }
 
+/// One batch row of a same-padded convolution: fill `y_rows`
+/// (`[bias.len(), l]`) from `x_rows` (`[in_channels, l]`), bias included
+/// and ReLU optionally fused, in blocks of four output channels. Each
+/// block runs the AVX2 kernel ([`crate::simd::conv_block`]) when it
+/// dispatches and takes the block; otherwise the scalar twin runs it:
+/// bias fill, then each input row accumulated by the four-row kernel
+/// ([`accumulate_conv4`] under [`Rounding::Separate`],
+/// [`accumulate_conv4t8`] under [`Rounding::Fused`]) or, for remainder
+/// rows, by [`accumulate_conv`]. Both twins add each element's taps in
+/// ascending `(ic, k)` order after the bias, so a mix of vector and
+/// scalar blocks changes nothing under separate rounding.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_rows(
+    rounding: Rounding,
+    weight: &[f32],
+    bias: &[f32],
+    in_channels: usize,
+    kernel: usize,
+    dilation: usize,
+    x_rows: &[f32],
+    y_rows: &mut [f32],
+    l: usize,
+    relu: bool,
+) {
+    let pad = (kernel - 1) * dilation / 2;
+    let out_channels = bias.len();
+    let mut oc = 0;
+    while oc < out_channels {
+        let rows = (out_channels - oc).min(4);
+        let block = &mut y_rows[oc * l..(oc + rows) * l];
+        if !crate::simd::conv_block(
+            rounding,
+            weight,
+            bias,
+            in_channels,
+            kernel,
+            pad,
+            dilation,
+            x_rows,
+            block,
+            l,
+            relu,
+            oc,
+        ) {
+            for (r, row) in block.chunks_mut(l).enumerate() {
+                row.fill(bias[oc + r]);
+            }
+            for ic in 0..in_channels {
+                let x_row = &x_rows[ic * l..(ic + 1) * l];
+                let w_at = |r: usize| &weight[((oc + r) * in_channels + ic) * kernel..][..kernel];
+                if rows == 4 {
+                    let w = [w_at(0), w_at(1), w_at(2), w_at(3)];
+                    // Only the final accumulation pass may clamp: each
+                    // output element is written exactly once per pass.
+                    let relu = relu && ic + 1 == in_channels;
+                    match rounding {
+                        Rounding::Separate => {
+                            accumulate_conv4(block, l, x_row, w, kernel, pad, dilation, relu)
+                        }
+                        Rounding::Fused => {
+                            accumulate_conv4t8(block, l, x_row, w, kernel, pad, dilation, relu)
+                        }
+                    }
+                } else {
+                    for (r, y_row) in block.chunks_mut(l).enumerate() {
+                        accumulate_conv(y_row, x_row, w_at(r), pad as isize, dilation as isize);
+                    }
+                }
+            }
+            // The single-row fallback has no epilogue; clamp the remainder
+            // rows once all input channels are accumulated.
+            if relu && rows < 4 {
+                for v in block.iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+        oc += rows;
+    }
+}
+
 /// Accumulate `y[t] += Σ_k w[k] * x[t + k*d - pad]` with zero padding,
 /// keeping the inner loop over a contiguous valid range (no per-element
 /// bounds branch). Single-row fallback for output-channel remainders and
-/// arbitrary kernel widths. Crate-visible so the frozen inference plan
-/// can drive the same kernels without the layer's bias/caching wrapper.
+/// arbitrary kernel widths.
 #[inline]
-pub(crate) fn accumulate_conv(y: &mut [f32], x: &[f32], w: &[f32], pad: isize, dilation: isize) {
+fn accumulate_conv(y: &mut [f32], x: &[f32], w: &[f32], pad: isize, dilation: isize) {
     let l = y.len();
     for (k, &wk) in w.iter().enumerate() {
         let shift = k as isize * dilation - pad;
@@ -410,7 +477,7 @@ macro_rules! dispatch_kernel {
 /// so the `false` path compiles to exactly the old loop.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn accumulate_conv4(
+fn accumulate_conv4(
     block: &mut [f32],
     l: usize,
     x: &[f32],
@@ -512,17 +579,16 @@ pub(crate) fn accumulate_conv4(
 }
 
 /// Frozen-path forward kernel: accumulate four contiguous output rows at
-/// **two adjacent output positions** per interior step. Each loaded
-/// weight `w[kk]` feeds positions `t` and `t+1`, halving weight traffic
-/// (the dominant memory operation of the per-element kernel — `4k` weight
-/// loads against `k` input loads and 8 output operations), and the eight
-/// accumulators double the independent FMA chains, hiding add latency the
-/// four-chain kernel cannot. Each output element still accumulates its
-/// taps in ascending `k` order in a single register, so the result is
-/// bit-identical to [`accumulate_conv4`].
+/// **eight adjacent output positions** per interior step. Each loaded
+/// weight `w[kk]` feeds eight positions, cutting the weight traffic that
+/// dominates the per-element kernel (`4k` weight loads against `k` input
+/// loads), and the 32 accumulators are independent chains. Each element
+/// still accumulates its taps in ascending `k` order in its own
+/// accumulator (a multiply, then an add), so the result is bit-identical
+/// to [`accumulate_conv4`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn accumulate_conv4t2(
+fn accumulate_conv4t8(
     block: &mut [f32],
     l: usize,
     x: &[f32],
@@ -575,39 +641,35 @@ pub(crate) fn accumulate_conv4t2(
             y2[t] = epi::<RELU>(a2);
             y3[t] = epi::<RELU>(a3);
         }
-        // Interior, two positions per step: position t+1's tap `kk` reads
-        // `x[t+1-pad+kk*d]` — one element past position t's — so both
-        // share the window slice.
+        // Interior, eight positions per step: position `t + p`'s tap `kk`
+        // reads `x[t + p - pad + kk*d]`, so all eight share one slice.
         let mut t = t_lo;
-        while t + 2 <= t_hi {
-            let xs = &x[t - pad..t - pad + span + 2];
-            let (mut a00, mut a10, mut a20, mut a30) = (y0[t], y1[t], y2[t], y3[t]);
-            let (mut a01, mut a11, mut a21, mut a31) = (y0[t + 1], y1[t + 1], y2[t + 1], y3[t + 1]);
-            for kk in 0..k {
-                let xv0 = xs[kk * dilation];
-                let xv1 = xs[kk * dilation + 1];
-                let (c0, c1, c2, c3) = (w0[kk], w1[kk], w2[kk], w3[kk]);
-                a00 += c0 * xv0;
-                a01 += c0 * xv1;
-                a10 += c1 * xv0;
-                a11 += c1 * xv1;
-                a20 += c2 * xv0;
-                a21 += c2 * xv1;
-                a30 += c3 * xv0;
-                a31 += c3 * xv1;
+        while t + 8 <= t_hi {
+            let mut acc = [[0.0f32; 8]; 4];
+            for (a, y) in acc.iter_mut().zip([&*y0, &*y1, &*y2, &*y3]) {
+                a.copy_from_slice(&y[t..t + 8]);
             }
-            y0[t] = epi::<RELU>(a00);
-            y1[t] = epi::<RELU>(a10);
-            y2[t] = epi::<RELU>(a20);
-            y3[t] = epi::<RELU>(a30);
-            y0[t + 1] = epi::<RELU>(a01);
-            y1[t + 1] = epi::<RELU>(a11);
-            y2[t + 1] = epi::<RELU>(a21);
-            y3[t + 1] = epi::<RELU>(a31);
-            t += 2;
+            for kk in 0..k {
+                let xs: &[f32; 8] = x[t - pad + kk * dilation..][..8].try_into().unwrap();
+                for (a, wr) in acc.iter_mut().zip([w0, w1, w2, w3]) {
+                    let wv = wr[kk];
+                    for (av, &xv) in a.iter_mut().zip(xs) {
+                        *av += wv * xv;
+                    }
+                }
+            }
+            // Indexed stores on purpose: as one slice store, the compiler
+            // vectorizes the whole step and this scalar twin becomes an
+            // SSE kernel (DESIGN §15).
+            for (a, y) in acc.iter().zip([&mut *y0, &mut *y1, &mut *y2, &mut *y3]) {
+                for (p, &av) in a.iter().enumerate() {
+                    y[t + p] = epi::<RELU>(av);
+                }
+            }
+            t += 8;
         }
-        // Odd interior remainder: one position, same chain as the pair.
-        if t < t_hi {
+        // Interior remainder: one position at a time, same chains.
+        for t in t..t_hi {
             let xs = &x[t - pad..t - pad + span + 1];
             let (mut a0, mut a1, mut a2, mut a3) = (y0[t], y1[t], y2[t], y3[t]);
             for kk in 0..k {
@@ -849,7 +911,8 @@ mod tests {
                         for k in 0..conv.kernel {
                             let s = t as isize + (k * conv.dilation) as isize - pad;
                             if s >= 0 && (s as usize) < l {
-                                acc += conv.w_row(oc, ic)[k] * x.get(bi, ic, s as usize);
+                                let w = conv.weight[(oc * conv.in_channels + ic) * conv.kernel + k];
+                                acc += w * x.get(bi, ic, s as usize);
                             }
                         }
                     }
@@ -958,14 +1021,15 @@ mod tests {
         }
     }
 
-    /// The two-position frozen kernel must be bit-identical to the
+    /// The eight-position frozen kernel must be bit-identical to the
     /// one-position kernel, with and without the fused ReLU, across
-    /// kernel widths (const-dispatched and fallback), even and odd
-    /// interior lengths, rows shorter than the kernel span, and dilation.
+    /// kernel widths (const-dispatched and fallback), interior lengths on
+    /// and off a multiple of eight, rows shorter than the kernel span,
+    /// and dilation.
     #[test]
-    fn conv4t2_matches_conv4() {
+    fn conv4t8_matches_conv4() {
         for kernel in [1usize, 4, 5, 9, 15] {
-            for l in [3usize, 17, 40] {
+            for l in [3usize, 17, 40, 73] {
                 for dilation in [1usize, 2] {
                     let pad = (kernel - 1) * dilation / 2;
                     let w_flat: Vec<f32> = (0..kernel * 4)
@@ -976,10 +1040,10 @@ mod tests {
                     for relu in [false, true] {
                         let mut single: Vec<f32> =
                             (0..4 * l).map(|i| (i % 5) as f32 * 0.3 - 0.6).collect();
-                        let mut paired = single.clone();
+                        let mut wide = single.clone();
                         accumulate_conv4(&mut single, l, &x, w, kernel, pad, dilation, relu);
-                        accumulate_conv4t2(&mut paired, l, &x, w, kernel, pad, dilation, relu);
-                        for (a, b) in paired.iter().zip(&single) {
+                        accumulate_conv4t8(&mut wide, l, &x, w, kernel, pad, dilation, relu);
+                        for (a, b) in wide.iter().zip(&single) {
                             assert_eq!(
                                 a.to_bits(),
                                 b.to_bits(),
@@ -1076,6 +1140,59 @@ mod tests {
                 assert_eq!(s, v, "{what}: ci={ci} co={co} k={k} d={d} l={l}");
             }
         }
+    }
+
+    /// Output bits of `conv.infer(x)` under `mode`.
+    fn forward_bits(conv: &Conv1d, x: &Tensor, mode: SimdMode) -> Vec<u32> {
+        crate::simd::set_mode(Some(mode));
+        let y = conv.infer(x);
+        crate::simd::set_mode(None);
+        y.data.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The AVX2 forward (mul then add) is the bit-exact twin of the
+    /// scalar one: every kernel width (const-dispatched, fallback, even,
+    /// wider than a step), rows shorter than the kernel span, channel
+    /// counts on and off the four-row blocks (remainder rows run the
+    /// scalar twin in both runs), dilation 2, a span too wide for the
+    /// vector kernel's edge staging, and a batch that fans out across
+    /// workers.
+    #[test]
+    fn avx2_forward_is_bit_identical_to_the_scalar_twin() {
+        if !std::arch::is_x86_feature_detected!("avx2")
+            || !std::arch::is_x86_feature_detected!("fma")
+        {
+            return; // nothing to compare on this host
+        }
+        let _dispatch = crate::simd::lock_dispatch();
+        let shapes = [(1usize, 8usize), (3, 4), (4, 5), (8, 16), (2, 6)];
+        // (ci, co, k, d, l, batch)
+        let mut cases: Vec<(usize, usize, usize, usize, usize, usize)> = Vec::new();
+        for k in [1usize, 2, 3, 4, 5, 7, 9, 15, 17, 63] {
+            for l in [3usize, 5, 16, 17, 40, 73] {
+                for &(ci, co) in &shapes {
+                    cases.push((ci, co, k, 1, l, 3));
+                }
+            }
+        }
+        for &(ci, co) in &shapes {
+            cases.push((ci, co, 3, 2, 40, 3));
+            cases.push((ci, co, 5, 2, 17, 3));
+            cases.push((ci, co, 17, 9, 73, 3)); // span 144: scalar twin only
+        }
+        cases.push((8, 16, 9, 1, 40, ds_par::batch_floor() + 1));
+        ds_par::set_threads(Some(2));
+        for (ci, co, k, d, l, b) in cases {
+            let mut conv = Conv1d::dilated(ci, co, k, d, (ci * 100 + co * 10 + k) as u64);
+            for (i, v) in conv.bias.iter_mut().enumerate() {
+                *v = (i as f32 - 2.0) * 0.03;
+            }
+            let x = sample_input(b, ci, l);
+            let scalar = forward_bits(&conv, &x, SimdMode::Scalar);
+            let simd = forward_bits(&conv, &x, SimdMode::Avx2);
+            assert_eq!(scalar, simd, "ci={ci} co={co} k={k} d={d} l={l} b={b}");
+        }
+        ds_par::set_threads(None);
     }
 
     /// Finite-difference gradient check for weights, bias and input,

@@ -13,9 +13,8 @@
 //!    member.
 //! 2. **Fused ReLU epilogue.** Where the reference path materializes a
 //!    post-BN tensor and then clamps it, the frozen conv clamps in the
-//!    output-write loop of the register-blocked kernel
-//!    (`conv::accumulate_conv4`'s const-dispatched `relu` flag),
-//!    deleting the activation passes as well.
+//!    output-write loop of the conv kernels (the `relu` epilogue of
+//!    `conv::conv_rows`), deleting the activation passes as well.
 //! 3. **Arena execution.** [`FrozenResNet::predict_into`] runs entirely
 //!    inside an [`InferenceArena`]: activations ping-pong through three
 //!    pre-sized buffers, and GAP/head/softmax/CAM write into reused output
@@ -29,12 +28,13 @@
 //! detections (`prob > 0.5`) and localization masks.
 
 use crate::batchnorm::BatchNorm1d;
-use crate::conv::{accumulate_conv, accumulate_conv4t2, Conv1d};
+use crate::conv::{conv_rows, Conv1d};
 use crate::linear::Linear;
 use crate::loss::softmax_row;
 use crate::plan::InferenceArena;
 use crate::resblock::ResidualBlock;
 use crate::resnet::ResNet;
+use crate::simd::Rounding;
 use crate::tensor::Tensor;
 
 /// A convolution with a BatchNorm inference affine folded into its
@@ -61,27 +61,7 @@ impl FrozenConv {
             "fold requires conv output channels to match BN channels"
         );
         let (scale, shift) = bn.inference_affine();
-        let per_oc = conv.in_channels * conv.kernel;
-        let mut weight = conv.weight.clone();
-        for (oc, &s) in scale.iter().enumerate() {
-            for w in &mut weight[oc * per_oc..(oc + 1) * per_oc] {
-                *w *= s;
-            }
-        }
-        let bias = conv
-            .bias
-            .iter()
-            .zip(scale.iter().zip(&shift))
-            .map(|(&b, (&s, &sh))| b * s + sh)
-            .collect();
-        FrozenConv {
-            in_channels: conv.in_channels,
-            out_channels: conv.out_channels,
-            kernel: conv.kernel,
-            dilation: conv.dilation,
-            weight,
-            bias,
-        }
+        FrozenConv::fold_affine(conv, &scale, &shift)
     }
 
     /// Fold an explicit per-output-channel affine (`scale`, `shift`) into
@@ -128,11 +108,6 @@ impl FrozenConv {
         }
     }
 
-    #[inline]
-    pub(crate) fn pad_left(&self) -> usize {
-        (self.kernel - 1) * self.dilation / 2
-    }
-
     /// Forward `batch` rows of `[in_channels, l]` from `x` into `y`
     /// (`[batch, out_channels, l]` region), optionally fusing a ReLU into
     /// the final accumulation pass. Sequential and allocation-free.
@@ -150,74 +125,28 @@ impl FrozenConv {
         }
     }
 
-    /// One batch row. On AVX2+FMA hosts (unless `DS_SIMD=off`) the
-    /// vectorized [`crate::simd::frozen_conv_rows`] kernel runs — sixteen
-    /// output positions per step, logits within `1e-4` of the scalar
-    /// path. Otherwise: bias fill, then blocks of four output channels
-    /// accumulated against each input row via the two-position kernel
-    /// ([`accumulate_conv4t2`]) — bit-identical to [`Conv1d::infer`]'s
-    /// per-element tap order, with the weight loads shared across adjacent
-    /// positions and the epilogue fused into the last input-channel pass.
-    /// The scalar path is the determinism twin the golden tests gate the
-    /// SIMD path against.
+    /// One batch row ([`conv_rows`] with fused rounding). On AVX2+FMA
+    /// hosts (unless `DS_SIMD=off`) each block of four output channels
+    /// runs the vectorized kernel, sixteen output positions per step with
+    /// FMA, logits within `1e-4` of the scalar path. Remainder rows, spans
+    /// too wide for the kernel and scalar dispatch run the scalar twin:
+    /// the eight-position kernel (`accumulate_conv4t8`), bit-identical to
+    /// [`Conv1d::infer`]'s scalar per-element tap order, with the epilogue
+    /// fused into the last input-channel pass. The scalar path is the
+    /// determinism twin the golden tests gate the SIMD path against.
     fn infer_row(&self, x_rows: &[f32], y_rows: &mut [f32], l: usize, relu: bool) {
-        let pad = self.pad_left();
-        if crate::simd::frozen_conv_rows(
+        conv_rows(
+            Rounding::Fused,
             &self.weight,
             &self.bias,
             self.in_channels,
-            self.out_channels,
             self.kernel,
-            pad,
             self.dilation,
             x_rows,
             y_rows,
             l,
             relu,
-        ) {
-            return;
-        }
-        let k = self.kernel;
-        let mut oc = 0;
-        while oc < self.out_channels {
-            let rows = (self.out_channels - oc).min(4);
-            let block = &mut y_rows[oc * l..(oc + rows) * l];
-            for (r, row) in block.chunks_mut(l).enumerate() {
-                row[..l].fill(self.bias[oc + r]);
-            }
-            for ic in 0..self.in_channels {
-                let x_row = &x_rows[ic * l..(ic + 1) * l];
-                // Only the final accumulation pass may clamp: each output
-                // element is written exactly once per pass.
-                let last = ic + 1 == self.in_channels;
-                let w_at = |r: usize| {
-                    let start = ((oc + r) * self.in_channels + ic) * k;
-                    &self.weight[start..start + k]
-                };
-                if rows == 4 {
-                    let w = [w_at(0), w_at(1), w_at(2), w_at(3)];
-                    accumulate_conv4t2(block, l, x_row, w, k, pad, self.dilation, relu && last);
-                } else {
-                    for (r, y_row) in block.chunks_mut(l).enumerate() {
-                        accumulate_conv(
-                            y_row,
-                            x_row,
-                            w_at(r),
-                            pad as isize,
-                            self.dilation as isize,
-                        );
-                    }
-                }
-            }
-            // The single-row fallback has no epilogue; clamp the remainder
-            // rows once all input channels are accumulated.
-            if relu && rows < 4 {
-                for v in block.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            oc += rows;
-        }
+        );
     }
 
     pub(crate) fn push_bits(&self, bits: &mut Vec<u32>) {

@@ -51,11 +51,18 @@ impl Linear {
         &self.weight[o * self.in_features..(o + 1) * self.in_features]
     }
 
-    /// Forward pass.
+    /// Forward pass. In training mode the input is cached for backward,
+    /// copied into the previous step's cache when the shape matches.
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         let y = self.infer(x);
         if train {
-            self.cached_input = Some(x.clone());
+            let reusable = self.cached_input.as_mut().filter(|c| {
+                (c.rows, c.cols) == (x.rows, x.cols) && crate::workspace::buffer_reuse()
+            });
+            match reusable {
+                Some(cached) => cached.data.copy_from_slice(&x.data),
+                None => self.cached_input = Some(x.clone()),
+            }
         }
         y
     }

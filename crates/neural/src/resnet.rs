@@ -125,10 +125,11 @@ impl ResNet {
     /// Forward pass to logits `[B, num_classes]`. Always caches the
     /// last-block feature maps for subsequent CAM extraction.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Matrix {
-        let mut h = x.clone();
+        let mut h: Option<Tensor> = None;
         for block in &mut self.blocks {
-            h = block.forward(&h, train);
+            h = Some(block.forward(h.as_ref().unwrap_or(x), train));
         }
+        let h = h.unwrap_or_else(|| x.clone());
         let pooled = self.gap.forward(&h, train);
         self.last_features = Some(h);
         self.head.forward(&pooled, train)

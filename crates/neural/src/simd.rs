@@ -1,17 +1,15 @@
-//! Runtime-dispatched SIMD kernels for the frozen serving path and for
-//! training's conv backward.
+//! Runtime-dispatched SIMD kernels for the conv forward (frozen plans,
+//! training and the mutable path) and for training's conv backward.
 //!
 //! The scalar kernels in [`crate::conv`] stay the source of truth: they
 //! are the bit-identical determinism twins the ds-par contract is built
-//! on. The serving kernel is gated against them by the frozen golden
-//! tests (logits within `1e-4`, zero decision flips) and the
-//! `simd_props` property suite (elementwise agreement within `1e-6`
-//! relative). The split mirrors ds-par's seq/par twin contract: the
-//! serving path may re-round (FMA contracts mul+add into one rounding)
-//! but may never change a decision. The training kernels may not even
-//! re-round: a rounding difference would compound through every later
-//! weight update, so they are bit-exact twins (see
-//! `conv_backward_row`).
+//! on. The serving path may re-round (FMA contracts mul+add into one
+//! rounding) but may never change a decision: the frozen golden tests
+//! hold its logits within `1e-4` with zero decision flips, and the
+//! `simd_props` property suite holds each element within `1e-6`
+//! relative. The training kernels may not even re-round: a rounding
+//! difference would compound through every later weight update, so they
+//! are bit-exact twins.
 //!
 //! Dispatch is resolved once per process: `DS_SIMD=off` (or `scalar`/`0`)
 //! forces the scalar twins; anything else probes the host with
@@ -20,23 +18,27 @@
 //! compare both paths in one process). Non-x86_64 builds compile to the
 //! scalar path unconditionally.
 //!
-//! The serving kernel family is **f32 conv rows** (`frozen_conv_rows`),
-//! the frozen `[4 output rows] × [all input channels]` accumulation,
-//! vectorized over sixteen adjacent output positions. Each tap broadcast
-//! feeds eight f32x8 FMA accumulators, so one weight load performs 64
-//! multiply-accumulates — against the scalar kernel's two positions per
-//! weight load. Every position of a row runs the vector kernel: a step
-//! whose taps reach into the zero padding reads a zero-filled stack copy
-//! of its input span. Per element, taps still accumulate in ascending
-//! `(ic, k)` order, so the only numeric difference from the scalar twin
-//! is FMA's single rounding.
+//! The conv forward is one vector kernel (`conv_block`) over a
+//! `[4 output rows] × [all input channels]` block, vectorized over
+//! sixteen adjacent output positions. Each tap broadcast feeds eight
+//! f32x8 accumulators, so one weight load performs 64 multiply-adds —
+//! against the scalar kernels' one to eight positions per weight load. Every
+//! position of a row runs the vector kernel: a step whose taps reach into
+//! the zero padding reads a zero-filled stack copy of its input span. Per
+//! element, taps accumulate in ascending `(ic, k)` order after the bias,
+//! as in the scalar twins. The kernel has two instantiations
+//! (`Rounding`): FMA for the frozen plans, and a multiply then an add
+//! for `Conv1d`, which makes the training forward bit-identical to its
+//! scalar twin. Dispatch is per block: a remainder block of fewer than
+//! four rows, or a span too wide to stage, runs the caller's scalar twin
+//! (`conv::conv_rows`).
 //!
 //! The kernel computes whole rows only. Streaming reuses work per
 //! window (`ds_camal::StreamingCamal`), never per conv position: every
 //! window is z-normalized on its own, so no conv output outlives the
 //! window it was computed for.
 //!
-//! The training pair is **conv backward rows** (`conv_backward_row`):
+//! The backward pair is **conv backward rows** (`conv_backward_row`):
 //! the input gradient, four input rows × sixteen positions per step over
 //! a zero-padded copy of the output gradient, and the weight gradient,
 //! one lane per tap over a zero-padded copy of the input. Both multiply
@@ -82,31 +84,40 @@ fn detect() -> SimdMode {
     SimdMode::Scalar
 }
 
+fn detected() -> u8 {
+    match detect() {
+        SimdMode::Scalar => SCALAR,
+        SimdMode::Avx2 => AVX2,
+    }
+}
+
 /// The resolved kernel path (detects and caches on first call).
 pub fn mode() -> SimdMode {
-    match MODE.load(Ordering::Relaxed) {
-        SCALAR => SimdMode::Scalar,
-        AVX2 => SimdMode::Avx2,
-        _ => {
-            let m = detect();
-            MODE.store(
-                match m {
-                    SimdMode::Scalar => SCALAR,
-                    SimdMode::Avx2 => AVX2,
-                },
-                Ordering::Relaxed,
-            );
-            m
-        }
+    let mut value = MODE.load(Ordering::Relaxed);
+    if value == UNRESOLVED {
+        let detected = detected();
+        // A mode [`set_mode`] stored since the load wins over detection.
+        value =
+            match MODE.compare_exchange(UNRESOLVED, detected, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => detected,
+                Err(current) => current,
+            };
+    }
+    if value == AVX2 {
+        SimdMode::Avx2
+    } else {
+        SimdMode::Scalar
     }
 }
 
 /// Overrides the dispatch for the rest of the process (`None` re-resolves
-/// `DS_SIMD` + feature detection on next use). Forcing [`SimdMode::Avx2`]
-/// on a host without AVX2 is ignored — the scalar twins run instead.
+/// `DS_SIMD` + feature detection here, so the next kernel call neither
+/// reads the environment nor allocates). Forcing [`SimdMode::Avx2`] on a
+/// host without AVX2 is ignored — the scalar twins run instead.
 pub fn set_mode(mode: Option<SimdMode>) {
     let value = match mode {
-        None => UNRESOLVED,
+        None => detected(),
         Some(SimdMode::Scalar) => SCALAR,
         Some(SimdMode::Avx2) => {
             #[cfg(target_arch = "x86_64")]
@@ -136,94 +147,79 @@ pub fn label() -> &'static str {
     }
 }
 
-/// One scalar output position for up to four rows of a frozen conv block:
-/// `bias + Σ_ic Σ_k w·x` with a per-tap range check (zero padding). Used
-/// by the SIMD path for output-channel remainder rows and for convolutions
-/// too wide to stage an edge span ([`EDGE_SEG`]). Tap order matches the
-/// vector kernel (ascending `ic`, then `k`).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn scalar_positions(
-    weight: &[f32],
-    bias: &[f32],
-    in_channels: usize,
-    kernel: usize,
-    pad: usize,
-    dilation: usize,
-    x_rows: &[f32],
-    y_rows: &mut [f32],
-    l: usize,
-    relu: bool,
-    oc0: usize,
-    rows: usize,
-    t0: usize,
-    t1: usize,
-) {
-    for t in t0..t1 {
-        for r in 0..rows {
-            let oc = oc0 + r;
-            let mut acc = bias[oc];
-            for ic in 0..in_channels {
-                let x_row = &x_rows[ic * l..(ic + 1) * l];
-                let w = &weight[(oc * in_channels + ic) * kernel..][..kernel];
-                for (kk, &wv) in w.iter().enumerate() {
-                    let s = t as isize + (kk * dilation) as isize - pad as isize;
-                    if s >= 0 && (s as usize) < l {
-                        acc += wv * x_row[s as usize];
-                    }
-                }
-            }
-            y_rows[r * l + t] = if relu { acc.max(0.0) } else { acc };
-        }
-    }
+/// How the vector conv forward rounds each tap's multiply-accumulate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rounding {
+    /// `_mm256_fmadd_ps`: one rounding per tap. The frozen plans, within
+    /// `1e-6` relative of their scalar twin.
+    Fused,
+    /// `_mm256_mul_ps` then `_mm256_add_ps`: the product and the sum each
+    /// round, as the scalar `a += w * x` does (Rust never fuses it).
+    /// Training and the mutable path, bit-identical to their scalar twin.
+    Separate,
 }
 
-/// Vectorized frozen conv forward over one batch row: fill `y_rows`
-/// (`[out_channels, l]`) from `x_rows` (`[in_channels, l]`), bias
-/// included and ReLU optionally fused. Returns `false` without touching
-/// `y_rows` when the SIMD path is disabled or unavailable — the caller
-/// falls back to the scalar twins.
+/// Vectorized conv forward over one block of four output rows of one
+/// batch row: fill `block` (`[4, l]`, output channels `oc .. oc + 4`)
+/// from `x_rows` (`[in_channels, l]`), bias included and ReLU optionally
+/// fused. Returns `false` without touching `block` when the SIMD path is
+/// disabled or unavailable, or when the block is one the kernel does not
+/// take: a remainder of fewer than four rows, or taps spanning more than
+/// an edge step can stage (`STEP + (k - 1)·d > EDGE_SEG`). The caller
+/// then runs its scalar twin on that block.
+///
+/// Per element the taps add in the scalar twin's order: the bias, then
+/// ascending `(ic, k)`. A tap that reaches into the zero padding adds
+/// `w · 0 = ±0` to a sum that starts at the bias and so is never `-0`
+/// unless the bias is, which changes no bit (for finite weights). Under
+/// [`Rounding::Separate`] the block is therefore bit-identical to the
+/// scalar twin; under [`Rounding::Fused`] FMA's single rounding is the
+/// only difference.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn frozen_conv_rows(
+pub(crate) fn conv_block(
+    rounding: Rounding,
     weight: &[f32],
     bias: &[f32],
     in_channels: usize,
-    out_channels: usize,
     kernel: usize,
     pad: usize,
     dilation: usize,
     x_rows: &[f32],
-    y_rows: &mut [f32],
+    block: &mut [f32],
     l: usize,
     relu: bool,
+    oc: usize,
 ) -> bool {
-    if mode() != SimdMode::Avx2 {
+    if mode() != SimdMode::Avx2 || block.len() != 4 * l || STEP + (kernel - 1) * dilation > EDGE_SEG
+    {
         return false;
     }
     // The kernel's unchecked loads and stores rely on these lengths.
     assert!(
-        weight.len() >= out_channels * in_channels * kernel
-            && bias.len() >= out_channels
-            && x_rows.len() >= in_channels * l
-            && y_rows.len() >= out_channels * l,
+        weight.len() >= (oc + 4) * in_channels * kernel
+            && bias.len() >= oc + 4
+            && x_rows.len() >= in_channels * l,
         "conv row buffers are smaller than the layer shape"
     );
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: `mode()` only reports Avx2 after `is_x86_feature_detected!`
-        // confirmed avx2+fma on this host; the buffer lengths are asserted
+        // confirmed avx2+fma on this host; the buffer lengths are checked
         // above.
         unsafe {
-            f32_rows_avx2(
-                weight,
-                bias,
+            let run = match rounding {
+                Rounding::Fused => f32_rows_avx2::<true>,
+                Rounding::Separate => f32_rows_avx2::<false>,
+            };
+            run(
+                &weight[oc * in_channels * kernel..],
+                &bias[oc..],
                 in_channels,
-                out_channels,
                 kernel,
                 pad,
                 dilation,
                 x_rows,
-                y_rows,
+                block,
                 l,
                 relu,
             );
@@ -237,12 +233,12 @@ pub(crate) fn frozen_conv_rows(
 }
 
 /// Output positions one step of the AVX2 kernel computes per row: two
-/// f32x8 vectors, so each output row keeps two independent FMA chains.
+/// f32x8 vectors, so each output row keeps two independent chains.
 const STEP: usize = 16;
 
 /// Longest zero-padded input span an edge step of the AVX2 kernel stages
 /// on the stack: [`STEP`] positions plus the taps' reach, `(k - 1) · d`.
-/// Wider convolutions take the scalar path for every position.
+/// Wider convolutions run the caller's scalar twin.
 const EDGE_SEG: usize = 144;
 
 /// Fill `seg` with `x_row[t - pad ..]`, reading zeros wherever that index
@@ -259,25 +255,24 @@ fn edge_segment(x_row: &[f32], t: usize, pad: usize, seg: &mut [f32]) {
     seg[lo..hi].copy_from_slice(&x_row[from..from + hi - lo]);
 }
 
-/// AVX2/FMA kernel: four output rows × [`STEP`] adjacent positions per
-/// step, the padded edges and the row's last partial step included.
-/// Every broadcast weight feeds eight f32x8 FMA chains (64 MACs per
-/// weight load); per element the taps accumulate in ascending `(ic, k)`
-/// order, exactly like the scalar twin (a zero-padded tap adds an exact
-/// zero), with FMA's fused rounding as the only numeric difference.
+/// The AVX2 conv forward: four output rows (`weight` and `bias` start at
+/// the block's first row) × [`STEP`] adjacent positions per step, the
+/// padded edges and the row's last partial step included. Every broadcast
+/// weight feeds eight f32x8 chains (64 multiply-accumulates per weight
+/// load). `FMA` picks the instantiation ([`Rounding`]): fused
+/// multiply-add, or a multiply then an add.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn f32_rows_avx2(
+unsafe fn f32_rows_avx2<const FMA: bool>(
     weight: &[f32],
     bias: &[f32],
     in_channels: usize,
-    out_channels: usize,
     kernel: usize,
     pad: usize,
     dilation: usize,
     x_rows: &[f32],
-    y_rows: &mut [f32],
+    block: &mut [f32],
     l: usize,
     relu: bool,
 ) {
@@ -286,87 +281,67 @@ unsafe fn f32_rows_avx2(
     let t_lo = pad.min(l);
     let t_hi = (l + pad).saturating_sub(span).clamp(t_lo, l);
     let zero = _mm256_setzero_ps();
-    let mut oc = 0;
-    while oc < out_channels {
-        let rows = (out_channels - oc).min(4);
-        let block = &mut y_rows[oc * l..(oc + rows) * l];
-        if rows == 4 && STEP + span <= EDGE_SEG {
-            // Steps whose taps reach past either end of the row read a
-            // zero-padded copy of their input span instead.
-            let mut seg = [0.0f32; EDGE_SEG];
-            let mut t = 0;
-            while t < l {
-                let interior = t >= t_lo && t + STEP <= t_hi;
-                // acc[r][h]: row `oc + r`, positions `t + 8h .. t + 8h + 8`.
-                let mut acc = [[zero; 2]; 4];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    *row = [_mm256_set1_ps(bias[oc + r]); 2];
-                }
-                // In bounds: the loads read `x_base[0 .. span + STEP]`. An
-                // interior step has `t >= pad` and `t + STEP <= t_hi`, so
-                // that is `x_row[t - pad .. t - pad + span + STEP]`, inside
-                // the row; an edge step reads `seg[.. STEP + span]`.
-                for ic in 0..in_channels {
-                    let x_base = if interior {
-                        x_rows.as_ptr().add(ic * l + t - pad)
-                    } else {
-                        let x_row = &x_rows[ic * l..(ic + 1) * l];
-                        edge_segment(x_row, t, pad, &mut seg[..STEP + span]);
-                        seg.as_ptr()
-                    };
-                    let w_base = (oc * in_channels + ic) * kernel;
-                    for kk in 0..kernel {
-                        let x0 = _mm256_loadu_ps(x_base.add(kk * dilation));
-                        let x1 = _mm256_loadu_ps(x_base.add(kk * dilation + 8));
-                        for (r, row) in acc.iter_mut().enumerate() {
-                            let w = _mm256_set1_ps(
-                                *weight.get_unchecked(w_base + r * in_channels * kernel + kk),
-                            );
-                            row[0] = _mm256_fmadd_ps(w, x0, row[0]);
-                            row[1] = _mm256_fmadd_ps(w, x1, row[1]);
-                        }
-                    }
-                }
-                // A row's last step may be partial: it goes through `lanes`,
-                // and only its valid positions are kept.
-                let full = t + STEP <= l;
-                let mut lanes = [0.0f32; STEP];
-                for (r, row) in acc.iter().enumerate() {
-                    // A full step's stores end at `r * l + t + STEP <= (r + 1) * l`.
-                    let out = if full {
-                        block.as_mut_ptr().add(r * l + t)
-                    } else {
-                        lanes.as_mut_ptr()
-                    };
-                    for (h, &a) in row.iter().enumerate() {
-                        let a = if relu { _mm256_max_ps(a, zero) } else { a };
-                        _mm256_storeu_ps(out.add(8 * h), a);
-                    }
-                    if !full {
-                        block[r * l + t..(r + 1) * l].copy_from_slice(&lanes[..l - t]);
-                    }
-                }
-                t += STEP;
-            }
-        } else {
-            scalar_positions(
-                weight,
-                bias,
-                in_channels,
-                kernel,
-                pad,
-                dilation,
-                x_rows,
-                block,
-                l,
-                relu,
-                oc,
-                rows,
-                0,
-                l,
-            );
+    // Steps whose taps reach past either end of the row read a
+    // zero-padded copy of their input span instead.
+    let mut seg = [0.0f32; EDGE_SEG];
+    let mut t = 0;
+    while t < l {
+        let interior = t >= t_lo && t + STEP <= t_hi;
+        // acc[r][h]: row `r`, positions `t + 8h .. t + 8h + 8`.
+        let mut acc = [[zero; 2]; 4];
+        for (r, row) in acc.iter_mut().enumerate() {
+            *row = [_mm256_set1_ps(bias[r]); 2];
         }
-        oc += rows;
+        // In bounds: the loads read `x_base[0 .. span + STEP]`. An
+        // interior step has `t >= pad` and `t + STEP <= t_hi`, so that is
+        // `x_row[t - pad .. t - pad + span + STEP]`, inside the row; an
+        // edge step reads `seg[.. STEP + span]`.
+        for ic in 0..in_channels {
+            let x_base = if interior {
+                x_rows.as_ptr().add(ic * l + t - pad)
+            } else {
+                let x_row = &x_rows[ic * l..(ic + 1) * l];
+                edge_segment(x_row, t, pad, &mut seg[..STEP + span]);
+                seg.as_ptr()
+            };
+            let w_base = ic * kernel;
+            for kk in 0..kernel {
+                let x0 = _mm256_loadu_ps(x_base.add(kk * dilation));
+                let x1 = _mm256_loadu_ps(x_base.add(kk * dilation + 8));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let w = _mm256_set1_ps(
+                        *weight.get_unchecked(w_base + r * in_channels * kernel + kk),
+                    );
+                    if FMA {
+                        row[0] = _mm256_fmadd_ps(w, x0, row[0]);
+                        row[1] = _mm256_fmadd_ps(w, x1, row[1]);
+                    } else {
+                        row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(w, x0));
+                        row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(w, x1));
+                    }
+                }
+            }
+        }
+        // A row's last step may be partial: it goes through `lanes`, and
+        // only its valid positions are kept.
+        let full = t + STEP <= l;
+        let mut lanes = [0.0f32; STEP];
+        for (r, row) in acc.iter().enumerate() {
+            // A full step's stores end at `r * l + t + STEP <= (r + 1) * l`.
+            let out = if full {
+                block.as_mut_ptr().add(r * l + t)
+            } else {
+                lanes.as_mut_ptr()
+            };
+            for (h, &a) in row.iter().enumerate() {
+                let a = if relu { _mm256_max_ps(a, zero) } else { a };
+                _mm256_storeu_ps(out.add(8 * h), a);
+            }
+            if !full {
+                block[r * l + t..(r + 1) * l].copy_from_slice(&lanes[..l - t]);
+            }
+        }
+        t += STEP;
     }
 }
 
@@ -379,9 +354,9 @@ unsafe fn f32_rows_avx2(
 /// when the SIMD path is disabled or unavailable — the caller runs the
 /// scalar twins.
 ///
-/// Unlike [`frozen_conv_rows`], the result is **bit-identical** to the
-/// scalar twins, so training reproduces the same weights under either
-/// dispatch. Each element takes its products in the scalar order and
+/// Like the [`Rounding::Separate`] forward, the result is
+/// **bit-identical** to the scalar twins, so training reproduces the same
+/// weights under either dispatch. Each element takes its products in the scalar order and
 /// rounds every product and every sum separately (`_mm256_mul_ps` then
 /// `_mm256_add_ps`, never FMA, matching the scalar `a += w * x`, which
 /// Rust never fuses). The zero-padded copies make a tap the scalar
@@ -720,6 +695,10 @@ pub(crate) fn lock_dispatch() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     #[test]
     fn label_matches_mode() {
         let _dispatch = lock_dispatch();
@@ -739,8 +718,11 @@ mod tests {
         set_mode(None);
     }
 
+    /// The FMA instantiation against the frozen plan's scalar twin
+    /// (`conv_rows` under scalar dispatch), row by row: four-row blocks
+    /// run the vector kernel, remainder rows the scalar twin in both runs.
     #[test]
-    fn f32_rows_agree_with_scalar_positions() {
+    fn fused_rows_agree_with_the_scalar_twin() {
         if !std::arch::is_x86_feature_detected!("avx2")
             || !std::arch::is_x86_feature_detected!("fma")
         {
@@ -750,7 +732,6 @@ mod tests {
         for kernel in [1usize, 3, 5, 9, 15] {
             for l in [5usize, 16, 24, 40, 73] {
                 for (ci, co) in [(1usize, 4usize), (3, 4), (2, 6)] {
-                    let pad = (kernel - 1) / 2;
                     let weight: Vec<f32> = (0..co * ci * kernel)
                         .map(|i| ((i * 37 + 11) % 23) as f32 / 46.0 - 0.25)
                         .collect();
@@ -759,34 +740,45 @@ mod tests {
                         .map(|i| ((i * 29 % 17) as f32 - 8.0) / 16.0)
                         .collect();
                     for relu in [false, true] {
-                        let mut simd = vec![0.0f32; co * l];
-                        let mut scalar = vec![0.0f32; co * l];
-                        set_mode(Some(SimdMode::Avx2));
-                        assert!(frozen_conv_rows(
-                            &weight, &bias, ci, co, kernel, pad, 1, &x, &mut simd, l, relu
-                        ));
-                        set_mode(None);
-                        let mut oc = 0;
-                        while oc < co {
-                            let rows = (co - oc).min(4);
-                            scalar_positions(
+                        let run = |mode: SimdMode| {
+                            let mut y = vec![0.0f32; co * l];
+                            set_mode(Some(mode));
+                            crate::conv::conv_rows(
+                                Rounding::Fused,
                                 &weight,
                                 &bias,
                                 ci,
                                 kernel,
-                                pad,
                                 1,
                                 &x,
-                                &mut scalar[oc * l..(oc + rows) * l],
+                                &mut y,
                                 l,
                                 relu,
-                                oc,
-                                rows,
-                                0,
-                                l,
                             );
-                            oc += rows;
-                        }
+                            if mode == SimdMode::Avx2 {
+                                // The first block really ran the vector kernel.
+                                let mut block = vec![0.0f32; 4 * l];
+                                assert!(conv_block(
+                                    Rounding::Fused,
+                                    &weight,
+                                    &bias,
+                                    ci,
+                                    kernel,
+                                    (kernel - 1) / 2,
+                                    1,
+                                    &x,
+                                    &mut block,
+                                    l,
+                                    relu,
+                                    0
+                                ));
+                                assert_eq!(bits(&block), bits(&y[..4 * l]));
+                            }
+                            set_mode(None);
+                            y
+                        };
+                        let simd = run(SimdMode::Avx2);
+                        let scalar = run(SimdMode::Scalar);
                         for (a, b) in simd.iter().zip(&scalar) {
                             assert!(
                                 (a - b).abs() <= 1e-6 * b.abs().max(1.0),

@@ -145,12 +145,12 @@ pub fn batch_ranges(n: usize, batch_size: usize) -> Vec<Range<usize>> {
 }
 
 /// Windows of a batch whose logits decide their label, by the rule
-/// [`TrainReport::train_accuracy`] documents.
-fn correct_predictions(logits: &Matrix, labels: &[u8]) -> usize {
-    let mut probs = vec![0.0f32; logits.cols];
+/// [`TrainReport::train_accuracy`] documents. `probs` is scratch.
+fn correct_predictions(logits: &Matrix, labels: &[u8], probs: &mut Vec<f32>) -> usize {
+    probs.resize(logits.cols, 0.0);
     (0..logits.rows)
         .filter(|&r| {
-            softmax_row(logits.row(r), &mut probs);
+            softmax_row(logits.row(r), probs);
             u8::from(probs[1] > 0.5) == labels[r]
         })
         .count()
@@ -192,6 +192,7 @@ pub fn train_classifier(
     let ranges = batch_ranges(order.len(), cfg.batch_size);
     let mut ws = Workspace::new();
     let mut batch_labels: Vec<u8> = Vec::new();
+    let mut probs: Vec<f32> = Vec::new();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let mut best = f32::INFINITY;
     let mut since_best = 0usize;
@@ -219,7 +220,7 @@ pub fn train_classifier(
                 &batch_labels,
                 class_weights.as_ref().map(|w| &w[..]),
             );
-            correct += correct_predictions(&logits, &batch_labels);
+            correct += correct_predictions(&logits, &batch_labels, &mut probs);
             net.backward(&grad);
             opt.step(net);
             loss_sum += loss as f64;
@@ -312,7 +313,7 @@ pub fn train_classifier_reference(
                 &batch_labels,
                 class_weights.as_ref().map(|w| &w[..]),
             );
-            correct += correct_predictions(&logits, &batch_labels);
+            correct += correct_predictions(&logits, &batch_labels, &mut Vec::new());
             net.backward(&grad);
             opt.step(net);
             loss_sum += loss as f64;

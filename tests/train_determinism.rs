@@ -5,9 +5,9 @@
 //! to the sequential path. Micro-batch heights are constants
 //! (`ds_neural::workspace::MICRO_ROWS`) and partial gradients fold in
 //! slot order, so the only thing `DS_PAR_THREADS` changes is wall time.
-//! The same holds across SIMD dispatch: the AVX2 backward kernels are
-//! the bit-exact twins of the scalar ones, so `DS_SIMD` changes only
-//! wall time too.
+//! The same holds across SIMD dispatch: the AVX2 forward and backward
+//! kernels are the bit-exact twins of the scalar ones, so `DS_SIMD`
+//! changes only wall time too.
 //!
 //! All tests flip a process-wide override (the worker count or the SIMD
 //! dispatch), so they serialize through one lock.
@@ -65,14 +65,19 @@ fn toy_corpus(n: usize, len: usize, jitter: u32) -> (Vec<Vec<f32>>, Vec<u8>) {
     (windows, labels)
 }
 
-/// Everything a training run produces that the contract covers.
+/// Everything a training run produces that the contract covers, for a
+/// tiny ResNet whose second block is `width` channels wide.
 fn train_fingerprint(
     windows: &[Vec<f32>],
     labels: &[u8],
     cfg: &TrainConfig,
     kernel: usize,
+    width: usize,
 ) -> (Vec<u32>, Vec<u32>, u32) {
-    let mut net = ResNet::new(ResNetConfig::tiny(kernel, 7));
+    let mut net = ResNet::new(ResNetConfig {
+        channels: vec![4, width],
+        ..ResNetConfig::tiny(kernel, 7)
+    });
     let report = train_classifier(&mut net, windows, labels, cfg);
     (
         weight_bits(&mut net),
@@ -101,7 +106,7 @@ proptest! {
             ..TrainConfig::default()
         };
         let (reference, runs) =
-            across_worker_counts(|| train_fingerprint(&windows, &labels, &cfg, 5));
+            across_worker_counts(|| train_fingerprint(&windows, &labels, &cfg, 5, 8));
         for (w, run) in runs {
             prop_assert_eq!(&reference.0, &run.0, "weights diverged, workers = {}", w);
             prop_assert_eq!(&reference.1, &run.1, "losses diverged, workers = {}", w);
@@ -112,7 +117,8 @@ proptest! {
     /// SIMD dispatch: training under the AVX2 kernels reproduces the
     /// scalar twins' weights, losses and accuracy bit for bit (on hosts
     /// without AVX2 both runs take the scalar path). Kernel widths cover
-    /// the const-dispatched and fallback scalar paths.
+    /// the const-dispatched and fallback scalar paths; a 6-channel block
+    /// mixes a vector four-row block with scalar remainder rows.
     #[test]
     fn classifier_training_is_bit_identical_across_simd_dispatch(
         n in prop::sample::select(vec![9usize, 12, 17]),
@@ -128,17 +134,19 @@ proptest! {
             ..TrainConfig::default()
         };
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let run = |mode: SimdMode| {
-            simd::set_mode(Some(mode));
-            let out = train_fingerprint(&windows, &labels, &cfg, kernel);
-            simd::set_mode(None);
-            out
-        };
-        let scalar = run(SimdMode::Scalar);
-        let avx2 = run(SimdMode::Avx2);
-        prop_assert_eq!(&scalar.0, &avx2.0, "weights diverged, kernel = {}", kernel);
-        prop_assert_eq!(&scalar.1, &avx2.1, "losses diverged, kernel = {}", kernel);
-        prop_assert_eq!(scalar.2, avx2.2, "accuracy diverged, kernel = {}", kernel);
+        for width in [8usize, 6] {
+            let run = |mode: SimdMode| {
+                simd::set_mode(Some(mode));
+                let out = train_fingerprint(&windows, &labels, &cfg, kernel, width);
+                simd::set_mode(None);
+                out
+            };
+            let scalar = run(SimdMode::Scalar);
+            let avx2 = run(SimdMode::Avx2);
+            prop_assert_eq!(&scalar.0, &avx2.0, "weights diverged, kernel = {}, width = {}", kernel, width);
+            prop_assert_eq!(&scalar.1, &avx2.1, "losses diverged, kernel = {}, width = {}", kernel, width);
+            prop_assert_eq!(scalar.2, avx2.2, "accuracy diverged, kernel = {}, width = {}", kernel, width);
+        }
     }
 
     /// Ensemble training: member fan-out on top of the layer fan-outs
